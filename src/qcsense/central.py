@@ -14,6 +14,8 @@ import numpy as np
 
 from .ingest import DataMatrix
 
+BLOCK = 128  # columns tested at once; bounds the block x n dominance scratch
+
 
 @dataclass(frozen=True)
 class CentralReport:
@@ -47,26 +49,30 @@ class CompletenessResult:
         }
 
 
-def discretized_central_region(M: DataMatrix) -> CentralReport:
-    """Columns a whose strict-below sets intersect emptily across rows:
-    no column b with M[i,b] < M[i,a] for every i.
+def undominated_columns(X: np.ndarray) -> np.ndarray:
+    """Ascending 0-based indices of the columns of X that no other column
+    strictly beats in every row.  Columns go in ascending order of row 0,
+    so a column's dominators come before it; each block is tested against
+    the undominated columns found so far and itself (by transitivity one
+    of those beats it if any column does)."""
+    order = np.argsort(X[0], kind="stable")
+    Y = X[:, order]
+    front = np.empty(0, dtype=np.intp)  # positions in Y
+    for start in range(0, X.shape[1], BLOCK):
+        pos = np.arange(start, min(start + BLOCK, X.shape[1]))
+        cand = np.concatenate([front, pos])
+        beaten = np.ones((pos.size, cand.size), dtype=bool)
+        for row in Y:
+            beaten &= row[cand][None, :] < row[pos][:, None]
+        front = np.concatenate([front, pos[~beaten.any(axis=1)]])
+    return np.sort(order[front])
 
-    Row-by-row boolean intersection with early exit once the candidate
-    set empties; the column holding any row's minimum is always a member.
-    """
-    values = M.values
-    m, n = values.shape
-    members = []
-    for a in range(n):
-        alive = values[0] < values[0, a]
-        if alive.any():
-            for i in range(1, m):
-                alive &= values[i] < values[i, a]
-                if not alive.any():
-                    break
-        if not alive.any():
-            members.append(a + 1)
-    return CentralReport(frozenset(members), n)
+
+def discretized_central_region(M: DataMatrix) -> CentralReport:
+    """Columns a with no column b such that M[i,b] < M[i,a] for every i;
+    the column holding any row's minimum is always a member."""
+    members = undominated_columns(M.values) + 1
+    return CentralReport(frozenset(members.tolist()), M.n)
 
 
 def completeness_test(M: DataMatrix, threshold: float = 0.05) -> CompletenessResult:

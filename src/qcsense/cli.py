@@ -145,7 +145,6 @@ def cmd_analyze(args) -> int:
         "dup": d_up,
         "epsilon": args.epsilon,
         "per_column": bool(args.per_column),
-        "threads": _resolve_threads(args.threads),
     }
     report = _report("analyze", params, digest, None, result, matrix.warnings)
     return _emit(report, args.output, args.strict)
@@ -171,9 +170,8 @@ def cmd_subsample(args) -> int:
     if csv_path is None and args.output:
         p = Path(args.output)
         csv_path = str(p.with_name(p.stem + ".replicates.csv"))
-    if csv_path is None:
-        csv_path = Path(args.input).stem + ".replicates.csv"
-    Path(csv_path).write_text(res.replicates_csv())
+    if csv_path is not None:
+        Path(csv_path).write_text(res.replicates_csv())
 
     result = {
         "mode": res.mode,
@@ -183,7 +181,7 @@ def cmd_subsample(args) -> int:
         "boxplots": {str(k): bp.to_json_obj() for k, bp in sorted(res.boxplots.items())},
         "verdict": int(verdict),
         "verdict_flags": list(verdict.flags),
-        "replicates_csv": str(csv_path),
+        "replicates_csv": csv_path,
     }
     params = {
         "input": args.input,
@@ -292,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dup", type=_nonneg_int, default=None, help="top homology dimension")
     p.add_argument("--epsilon", type=_positive_float, default=0.05, help="signal threshold")
     p.add_argument("--per-column", action="store_true", help="report per-column lengths")
-    p.add_argument("--threads", type=_positive_int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 

@@ -16,13 +16,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .central import undominated_columns
 from .dowker import MAX_ROWS, subset_tables
 from .ingest import DataMatrix, OrderTable, order_table
 from .persistence import MaxLengths, pair_reduction
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
-BLOCK = 128  # columns per birth-table block; bounds the n x block scratch
+BLOCK = 128  # anchor columns per birth-table block; bounds the block x |C| scratch
 
 
 @dataclass(frozen=True)
@@ -143,21 +144,26 @@ def _subset_births_blocks(ord_arr: np.ndarray, max_size: int):
     for column a at countdown c iff some column b has ord_i(b) <= ord_i(a)
     - c for all i in sigma, so its birth numerator is max_i ord_i(a) -
     max_b min_i (ord_i(a) - ord_i(b)).
+
+    The max runs over C, the columns no other column strictly beats in
+    every rank row.  Any b outside C is beaten in all m rows, hence on
+    sigma, by some b* in C, so min_i (ord_i(a) - ord_i(b*)) is larger: the
+    max over C equals the max over all n columns for every sigma and a.
     """
     m, n = ord_arr.shape
     masks, verts, _, _, _ = subset_tables(m, max_size)
     S = len(masks)
     tmax = ord_arr.max(axis=0).astype(np.int32)
     ord32 = ord_arr.astype(np.int32)
+    front = ord32[:, undominated_columns(ord32)]
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
         block = slice(start, stop)
-        width = stop - start
-        births = np.empty((S, width), dtype=np.int32)
+        births = np.empty((S, stop - start), dtype=np.int32)
         stack: list[np.ndarray] = []
         for k, vs in enumerate(verts):
             depth = len(vs)
-            row = ord32[vs[-1], block][:, None] - ord32[vs[-1]][None, :]
+            row = ord32[vs[-1], block][:, None] - front[vs[-1]][None, :]
             if depth == 1:
                 stack = [row]
             else:

@@ -30,6 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .central import undominated_columns
 from .exactlp import convex_combination, feasible_system, rational_rank
 from .ingest import DataMatrix
 
@@ -554,22 +555,6 @@ def cent1_membership(spec: RegularPairSpec, x: np.ndarray) -> Cent1Result:
     return Cent1Result(member=cone is ConeClass.FULL, cone=cone, dropped_rows=dropped)
 
 
-def _pareto_minimal_columns(F: np.ndarray) -> np.ndarray:
-    """Columns of F not strictly dominated componentwise by another column."""
-    order = np.argsort(F.sum(axis=0), kind="stable")
-    keep: list[int] = []
-    for idx in order:
-        col = F[:, idx]
-        dominated = False
-        for k in keep:
-            if (F[:, k] < col).all():
-                dominated = True
-                break
-        if not dominated:
-            keep.append(int(idx))
-    return np.array(keep, dtype=np.int64)
-
-
 def cent0_predicate(spec: RegularPairSpec, n_probe: int = 4096) -> Callable:
     """Membership predicate for the order-minimum central region.
 
@@ -609,7 +594,7 @@ def cent0_predicate(spec: RegularPairSpec, n_probe: int = 4096) -> Callable:
     rng = np.random.Generator(np.random.PCG64(spec.seed ^ 0x9E3779B9))
     probes = _ball_points(rng, n_probe, spec.d)
     F = spec.evaluate(probes)  # (m, n_probe)
-    front = F[:, _pareto_minimal_columns(F)]  # (m, n_front)
+    front = F[:, undominated_columns(F)]  # (m, n_front)
 
     def pred(X: np.ndarray):
         X = np.asarray(X, dtype=np.float64)

@@ -8,6 +8,7 @@ exact ties by column index instead of rejecting them).
 
 from __future__ import annotations
 
+import errno
 import io
 import os
 from dataclasses import dataclass, field
@@ -145,12 +146,16 @@ def _read_text(source: Source) -> str:
         with open(source, "rb") as fh:
             return fh.read().decode("utf-8")
     if isinstance(source, str):
-        # A str is CSV text if it looks like one, else a path to try.
-        if "\n" in source or "," in source:
+        # A str is CSV text if it looks like one, else a path (or a number).
+        if "\n" in source or "," in source or not source.strip():
             return source
         if os.path.exists(source):
             with open(source, "rb") as fh:
                 return fh.read().decode("utf-8")
+        try:
+            float(source)
+        except ValueError:
+            raise FileNotFoundError(errno.ENOENT, "no such file", source) from None
         return source
     data = source.read()
     if isinstance(data, bytes):
@@ -168,7 +173,8 @@ def load_matrix(
     tie_policy: 'reject' fails on any repeated value within a row;
     'break-by-column-index' keeps the matrix and orders exact ties by
     ascending column index, recording a warning.  A leading header line is
-    an error unless skip_header strips it.
+    an error unless skip_header strips it.  A str with no comma or newline
+    that names no file and is no number raises FileNotFoundError.
     """
     if tie_policy not in ("reject", "break-by-column-index"):
         raise IngestError(f"unknown tie_policy {tie_policy!r}")

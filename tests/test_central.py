@@ -8,8 +8,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcsense import DataMatrix, completeness_test, discretized_central_region
+from qcsense.central import BLOCK, undominated_columns
 
 from conftest import random_tie_free_matrix
+
+
+def central_loop(values: np.ndarray) -> list[int]:
+    """Reference: row-by-row strict-below intersection per column."""
+    m, n = values.shape
+    members = []
+    for a in range(n):
+        alive = values[0] < values[0, a]
+        if alive.any():
+            for i in range(1, m):
+                alive &= values[i] < values[i, a]
+                if not alive.any():
+                    break
+        if not alive.any():
+            members.append(a)
+    return members
+
+
+def pareto_minimal_columns(F: np.ndarray) -> list[int]:
+    """Reference: insert columns in row-sum order, keeping those no kept
+    column strictly beats."""
+    keep: list[int] = []
+    for idx in np.argsort(F.sum(axis=0), kind="stable"):
+        if not any((F[:, k] < F[:, idx]).all() for k in keep):
+            keep.append(int(idx))
+    return keep
+
+
+class TestUndominatedColumns:
+    @given(st.integers(1, 5), st.integers(1, 2 * BLOCK + 40), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_loops_with_ties(self, m, n, levels, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        values = rng.integers(0, levels, size=(m, n)).astype(float)
+        got = undominated_columns(values)
+        assert got.tolist() == central_loop(values)
+        assert set(got.tolist()) == set(pareto_minimal_columns(values))
+        members = discretized_central_region(DataMatrix(values, check_ties=False)).members
+        assert members == frozenset((got + 1).tolist())
 
 
 class TestDiscretizedCentralRegion:

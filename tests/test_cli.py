@@ -79,6 +79,13 @@ class TestAnalyze:
         _, second, _ = run_cli(capsys, ["analyze", "--input", example_csv, "--dup", "1"])
         assert first == second
 
+    def test_params_carry_nothing_machine_dependent(self, capsys, example_csv, monkeypatch):
+        monkeypatch.setenv("QCSENSE_THREADS", "3")
+        _, out, _ = run_cli(capsys, ["analyze", "--input", example_csv])
+        assert set(json.loads(out)["params"]) == {"input", "dup", "epsilon", "per_column"}
+        with pytest.raises(SystemExit):
+            main(["analyze", "--input", example_csv, "--threads", "2"])
+
     def test_output_file_matches_stdout(self, capsys, example_csv, tmp_path):
         dest = tmp_path / "report.json"
         _, out, _ = run_cli(
@@ -160,6 +167,19 @@ class TestSubsample:
         expected = tmp_path / "sub.replicates.csv"
         assert json.loads(out)["result"]["replicates_csv"] == str(expected)
         assert expected.exists()
+
+    def test_no_csv_unless_asked(self, capsys, example_csv, tmp_path, monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code, out, _ = run_cli(
+            capsys,
+            ["subsample", "--input", example_csv, "--mode", "points",
+             "--size", "3", "--reps", "2", "--dup", "1"],
+        )
+        assert code == 0
+        assert json.loads(out)["result"]["replicates_csv"] is None
+        assert list(cwd.iterdir()) == []
 
     def test_oversized_subsample_exits_2(self, capsys, example_csv):
         code, _, err = run_cli(
@@ -259,14 +279,17 @@ class TestParser:
             main([])
         assert exc.value.code == 2
 
+    SUBSAMPLE = ["subsample", "--mode", "functions", "--size", "2", "--reps", "2",
+                 "--dup", "0"]
+
     def test_threads_env_fallback(self, capsys, example_csv, monkeypatch):
         monkeypatch.setenv("QCSENSE_THREADS", "2")
-        _, out, _ = run_cli(capsys, ["analyze", "--input", example_csv])
+        _, out, _ = run_cli(capsys, self.SUBSAMPLE + ["--input", example_csv])
         assert json.loads(out)["params"]["threads"] == 2
 
     def test_invalid_threads_env_exits_2(self, capsys, example_csv, monkeypatch):
         monkeypatch.setenv("QCSENSE_THREADS", "soon")
-        code, _, err = run_cli(capsys, ["analyze", "--input", example_csv])
+        code, _, err = run_cli(capsys, self.SUBSAMPLE + ["--input", example_csv])
         assert code == 2
         assert "QCSENSE_THREADS" in err
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcsense import (
@@ -18,7 +18,8 @@ from qcsense import (
     subsample_functions,
     subsample_points,
 )
-from qcsense.estimator import default_d_up
+from qcsense.dowker import subset_tables
+from qcsense.estimator import BLOCK, _subset_births_blocks, default_d_up
 
 from conftest import random_tie_free_matrix
 
@@ -76,6 +77,63 @@ class TestComputeLk:
         n = int(rng.integers(2, 10))
         P = compute_Lk(random_tie_free_matrix(rng, m, n))
         assert all(0.0 <= v <= 1.0 for v in P.L)
+
+
+def full_scan_births_blocks(ord_arr: np.ndarray, max_size: int):
+    """Reference birth table: the max over b runs over all n columns."""
+    m, n = ord_arr.shape
+    masks, verts, _, _, _ = subset_tables(m, max_size)
+    tmax = ord_arr.max(axis=0).astype(np.int32)
+    ord32 = ord_arr.astype(np.int32)
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        block = slice(start, stop)
+        births = np.empty((len(masks), stop - start), dtype=np.int32)
+        stack: list[np.ndarray] = []
+        for k, vs in enumerate(verts):
+            depth = len(vs)
+            row = ord32[vs[-1], block][:, None] - ord32[vs[-1]][None, :]
+            if depth == 1:
+                stack = [row]
+            else:
+                stack = stack[: depth - 1]
+                stack.append(np.minimum(stack[depth - 2], row))
+            births[k] = tmax[block] - stack[-1].max(axis=1)
+        yield range(start, stop), births
+
+
+class TestBirthTable:
+    """The front-restricted birth table equals the full scan bit for bit."""
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 2 * BLOCK + 40),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @example(m=1, n=7, ties=False, seed=0, data=None)
+    @example(m=4, n=1, ties=False, seed=0, data=None)
+    @example(m=5, n=BLOCK + 1, ties=True, seed=1, data=None)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_scan(self, m, n, ties, seed, data):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        if ties:
+            # few distinct values, so most rows carry ties; ranks break
+            # them by column index
+            vals = rng.integers(0, 4, size=(m, n)).astype(float)
+            T = order_table(DataMatrix(vals, check_ties=False))
+        else:
+            T = order_table(random_tie_free_matrix(rng, m, n))
+        top = max(m - 2, 0)
+        d_up = top if data is None else data.draw(st.integers(0, top))
+        max_size = min(d_up + 2, m)
+        got = list(_subset_births_blocks(T.ord, max_size))
+        want = list(full_scan_births_blocks(T.ord, max_size))
+        assert [cols for cols, _ in got] == [cols for cols, _ in want]
+        for (_, b_got), (_, b_want) in zip(got, want):
+            assert b_got.dtype == b_want.dtype
+            assert np.array_equal(b_got, b_want)
 
 
 class TestDHatLow:

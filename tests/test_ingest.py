@@ -79,6 +79,15 @@ class TestLoadMatrix:
         with pytest.raises(IngestError):
             load_matrix("")
 
+    def test_missing_file_named(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError, match="missing.csv"):
+            load_matrix("missing.csv")
+
+    def test_lone_number_is_one_by_one(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert load_matrix("5").values.tolist() == [[5.0]]
+
     def test_values_read_only(self, example_matrix):
         with pytest.raises(ValueError):
             example_matrix.values[0, 0] = 0.0
