@@ -75,7 +75,9 @@ def _load_input(path_str: str) -> tuple[DataMatrix, str]:
     return load_matrix(data), digest
 
 
-def _resolve_threads(value: int | None) -> int:
+def _requested_threads(value: int | None) -> int | None:
+    """The thread count asked for by --threads or QCSENSE_THREADS; None
+    when neither is given and the pool takes the CPU count."""
     if value is not None:
         return max(1, value)
     env = os.environ.get("QCSENSE_THREADS")
@@ -84,7 +86,7 @@ def _resolve_threads(value: int | None) -> int:
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"QCSENSE_THREADS must be an integer, got {env!r}")
-    return max(1, os.cpu_count() or 1)
+    return None
 
 
 def _report(command: str, params: dict, input_digest, seed, result, warnings) -> dict:
@@ -152,7 +154,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_subsample(args) -> int:
     matrix, digest = _load_input(args.input)
-    threads = _resolve_threads(args.threads)
+    requested = _requested_threads(args.threads)
     progress = _stderr_progress(f"subsample[{args.mode}]", args.reps)
     runner = subsample_points if args.mode == "points" else subsample_functions
     res = runner(
@@ -161,7 +163,7 @@ def cmd_subsample(args) -> int:
         args.reps,
         d_up=args.dup,
         seed=args.seed,
-        threads=threads,
+        threads=requested or max(1, os.cpu_count() or 1),
         progress=progress,
     )
     verdict = decide_dimension(res.boxplots)
@@ -190,7 +192,7 @@ def cmd_subsample(args) -> int:
         "reps": args.reps,
         "dup": res.d_up,
         "seed": args.seed,
-        "threads": threads,
+        "threads": requested,  # null for the CPU-count default, so reports match across machines
     }
     report = _report("subsample", params, digest, args.seed, result, matrix.warnings)
     return _emit(report, args.output, args.strict)

@@ -5,6 +5,10 @@ L_k(M) is the longest dimension-k persistence interval seen across the
 per-column ray filtrations.  The estimate of the sensed dimension is one
 plus the largest k whose L_k clears a threshold; subsampling replaces the
 single threshold call by a first-quartile test over replicates.
+
+Per column, lengths come from the birth table by apparent pairs, clearing
+and a count of the pairs each dimension must have; only the columns those
+leave open go through the F2 reduction (see `_block_lengths`).
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -23,7 +29,12 @@ from .persistence import MaxLengths, pair_reduction
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
-BLOCK = 128  # anchor columns per birth-table block; bounds the block x |C| scratch
+# Anchor columns per birth-table block: bounds the block x |C| prefix minima
+# and the S x block birth table handed to the length kernel.
+BLOCK = 128
+# Anchor columns per apparent-pair pass: its (S, CHUNK) key scratch stays far
+# below the S x BLOCK birth table, so the pass adds nothing to peak memory.
+CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -154,8 +165,10 @@ def _subset_births_blocks(ord_arr: np.ndarray, max_size: int):
     masks, verts, _, _, _ = subset_tables(m, max_size)
     S = len(masks)
     tmax = ord_arr.max(axis=0).astype(np.int32)
-    ord32 = ord_arr.astype(np.int32)
-    front = ord32[:, undominated_columns(ord32)]
+    # Rank differences lie in (-n, n): int16 halves the memory traffic of
+    # the prefix minima, which bounds the cost of this loop on large blocks.
+    ranks = ord_arr.astype(np.int16 if n < 2**15 else np.int32)
+    front = ranks[:, undominated_columns(ranks)]
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
         block = slice(start, stop)
@@ -163,67 +176,189 @@ def _subset_births_blocks(ord_arr: np.ndarray, max_size: int):
         stack: list[np.ndarray] = []
         for k, vs in enumerate(verts):
             depth = len(vs)
-            row = ord32[vs[-1], block][:, None] - front[vs[-1]][None, :]
+            row = ranks[vs[-1], block][:, None] - front[vs[-1]][None, :]
             if depth == 1:
                 stack = [row]
             else:
                 stack = stack[: depth - 1]
                 stack.append(np.minimum(stack[depth - 2], row))
             births[k] = tmax[block] - stack[-1].max(axis=1)
+        del stack  # free the prefix minima while the caller works on the block
         yield range(start, stop), births
 
 
-def _column_lengths(
-    births_col: list[int],
-    tmax: int,
-    sizes: list[int],
-    facets: tuple[tuple[int, ...], ...],
-    tiebreak: np.ndarray,
-    d_up: int,
-) -> list[int]:
-    """Max interval length (in grade numerators) per dimension for one
-    column's ray filtration."""
-    S = len(births_col)
-    key = np.asarray(births_col, dtype=np.int64) * S + tiebreak
-    order = np.argsort(key).tolist()
-    pos = [0] * S
-    for j, g in enumerate(order):
-        pos[g] = j
-    columns: list[int] = []
-    for g in order:
-        col = 0
-        for f in facets[g]:
-            col |= 1 << pos[f]
-        columns.append(col)
-    pairs, creators = pair_reduction(columns)
-    best = [0] * (d_up + 1)
-    for j in creators:
-        g = order[j]
-        k = sizes[g] - 1
-        if k > d_up:
-            continue
-        birth = births_col[g]
-        death = tmax if j not in pairs else births_col[order[pairs[j]]]
-        if death - birth > best[k]:
-            best[k] = death - birth
-    return best
+@lru_cache(maxsize=None)
+def _rank_tables(m: int, max_size: int):
+    """The faces of subset_tables(m, max_size) renumbered by tie-break
+    rank, i.e. by (size, vertex order), so that each size is one range.
+
+    Returns (perm, start, cofacets, facet_slots, cofacet_slots).  perm[r]
+    is the subset_tables index of the face of rank r, and the faces of
+    size s hold ranks start[s] .. start[s+1]-1.  cofacets[s] is the
+    (N_s, m-s) array of cofacet ranks of the size-s faces, s < max_size.
+    facet_slots[i] is the i-th facet rank of every face of size >= 2, and
+    cofacet_slots[i] the i-th cofacet rank of every face of size 1 ..
+    max_size-1; shorter lists repeat their first entry, which changes no
+    max or min over the slots.  Every facet ranks below its face.
+    """
+    masks, _, sizes, facet_idx, tiebreak = subset_tables(m, max_size)
+    perm = np.argsort(tiebreak)
+    start = np.searchsorted(sizes[perm], np.arange(max_size + 2)).tolist()
+    rank = {masks[k]: int(tiebreak[k]) for k in range(len(masks))}
+
+    def faces(s):
+        return perm[start[s] : start[s + 1]].tolist()
+
+    def slots(tables, width):
+        padded = [np.hstack([t, np.repeat(t[:, :1], width - t.shape[1], axis=1)]) for t in tables]
+        return tuple(np.ascontiguousarray(col) for col in np.vstack(padded).T)
+
+    cofacets = {
+        s: np.array([[rank[masks[k] | 1 << v] for v in range(m) if not masks[k] >> v & 1]
+                     for k in faces(s)]).reshape(-1, m - s)
+        for s in range(1, max_size)
+    }
+    facet_slots = cofacet_slots = ()
+    if max_size >= 3:  # the apparent-pair pass needs a dimension in 1 .. max_size-2
+        facets = [tiebreak[[list(facet_idx[k]) for k in faces(s)]] for s in range(2, max_size + 1)]
+        facet_slots = slots(facets, max_size)
+        cofacet_slots = slots(list(cofacets.values()), m - 1)
+    return perm, start, cofacets, facet_slots, cofacet_slots
 
 
-def _lk_from_order(ord_arr: np.ndarray, d_up: int) -> tuple[np.ndarray, list[list[int]]]:
-    """(L numerators maxed over columns, per-column numerator lengths)."""
+def _apparent_pairs(key: np.ndarray, m: int, max_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Apparent pairs for (S, c) filtration keys, c columns indexed by
+    rank, for the faces of rank m and up (size >= 2; needs max_size >= 3).
+
+    Returns (young, apparent): young[i] is the key of the youngest facet
+    of face m+i, whose rank is young[i] % S; apparent[i] says whether that
+    facet and face m+i form an apparent pair.  Slot by slot, so no
+    facet-by-key array is ever gathered.
+    """
+    _, _, _, facet_slots, cofacet_slots = _rank_tables(m, max_size)
+    S = key.shape[0]
+    young = key[facet_slots[0]]
+    for f in facet_slots[1:]:
+        np.maximum(young, key[f], out=young)
+    old = key[cofacet_slots[0]]
+    for f in cofacet_slots[1:]:
+        np.minimum(old, key[f], out=old)
+    return young, np.take_along_axis(old % S, young % S, axis=0) == np.arange(m, S)[:, None]
+
+
+def _block_lengths(births: np.ndarray, tmax: np.ndarray, m: int, max_size: int,
+                   out: np.ndarray) -> None:
+    """Write the longest interval per dimension (grade numerators) of each
+    column of one birth block into out, one row per column.
+
+    Every face is born by tmax (take b = a in the birth identity), so each
+    ray filtration ends in the full (max_size-1)-skeleton of the simplex
+    on [m].  Its homology fixes the pairs: dimension k <= max_size-2 has
+    exactly C(m-1, k+1) finite pairs, and the oldest vertex is the only
+    essential class in dimensions 0 .. d_up.  (The top dimension
+    max_size-1 holds more essential cycles, but it exceeds d_up unless
+    max_size = m, where the one top face destroys.)  Hence:
+
+    - L_0 is that vertex's length, tmax minus the least vertex birth; no
+      finite dimension-0 pair is longer;
+    - dimensions max_size-1 .. d_up have no creators, so length 0;
+    - for 1 <= k <= max_size-2, apparent pairs settle the dimension when
+      there are enough of them.  (sigma, tau) is apparent when sigma is
+      tau's youngest facet and tau is sigma's oldest cofacet, in the
+      filtration order births*S + tie-break rank.  No column before tau
+      contains sigma, so tau's boundary column is already reduced with
+      pivot sigma: the pair is a persistence pair.  When a column has
+      C(m-1, k+1) apparent pairs in dimension k, they are all its pairs
+      there, and L_k is the longest of them.
+
+    Apparent pairs are found in numpy, CHUNK columns at a time, with a
+    running max over facet slots and min over cofacet slots.  Columns
+    with an unfinished dimension go to _reduce_leftover.
+    """
+    S, B = births.shape
+    perm, start, cofacets, _, _ = _rank_tables(m, max_size)
+    top = max_size - 2
+    key_type = np.int32 if (int(tmax.max()) + 1) * S < 2**31 else np.int64
+    ranks = np.arange(S, dtype=key_type)[:, None]
+    counts = [comb(m - 1, k + 1) for k in range(top + 1)]
+    out[:, 0] = tmax - births[perm[:m]].min(axis=0)
+    if top < 1:
+        return
+    for c0 in range(0, B, CHUNK):
+        c1 = min(c0 + CHUNK, B)
+        b = births[perm, c0:c1]
+        key = b.astype(key_type) * S + ranks
+        young, apparent = _apparent_pairs(key, m, max_size)
+        length = np.where(apparent, (key[m:] - young) // S, 0)
+        unfinished = np.zeros((top + 1, c1 - c0), dtype=bool)
+        for k in range(1, top + 1):
+            rows = slice(start[k + 2] - m, start[k + 3] - m)
+            out[c0:c1, k] = length[rows].max(axis=0)
+            unfinished[k] = apparent[rows].sum(axis=0) != counts[k]
+        for j in np.flatnonzero(unfinished.any(axis=0)).tolist():
+            dims = np.flatnonzero(unfinished[:, j]).tolist()
+            out[c0 + j, dims] = _reduce_leftover(
+                b[:, j], np.argsort(key[:, j]), apparent[:, j], dims, start, cofacets, m
+            )
+
+
+def _reduce_leftover(b, order, apparent, dims, start, cofacets, m) -> list[int]:
+    """Longest finite pair per dimension in dims for one column, from one
+    pair_reduction call.
+
+    The reduction runs on coboundary columns (the anti-transposed boundary
+    matrix): for each dimension k, the size-(k+1) faces youngest first,
+    each with a bit at the reversed filtration position of every cofacet.
+    The anti-transpose has the same persistence pairs (de Silva, Morozov
+    and Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).
+    Clearing: a face that destroys a dimension-(k-1) pair has a coboundary
+    that reduces to zero, so the apparent destroyers are left out.  What
+    stays is the C(m-1, k+1) creators plus the few non-apparent
+    destroyers; no essential cycle of the top dimension enters, as it
+    would in the boundary matrix.  The matrix is graded, so the
+    dimensions never mix.
+
+    b holds the column's births by rank, order its ranks in filtration
+    order, and apparent[r - m] whether the face of rank r >= m is an
+    apparent destroyer.
+    """
+    S = len(b)
+    rev = np.empty(S, dtype=np.int64)
+    rev[order[::-1]] = np.arange(S)
+    width = (S + 7) // 8
+    faces, packed = [], []
+    for k in dims:
+        s = k + 1
+        f = start[s] + np.flatnonzero(~apparent[start[s] - m : start[s + 1] - m])
+        f = f[np.argsort(rev[f])]
+        bits = rev[cofacets[s][f - start[s]]]
+        # bytes packed in numpy make the ints faster than OR-ing shifted bits
+        cols = np.zeros((len(f), width), dtype=np.uint8)
+        np.add.at(cols, (np.arange(len(f))[:, None], bits >> 3), (1 << (bits & 7)).astype(np.uint8))
+        faces.append(f)
+        packed.append(cols)
+    data = np.concatenate(packed).tobytes()
+    pairs, _ = pair_reduction(
+        [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    )
+    destroyer = order[S - 1 - np.fromiter(pairs.keys(), dtype=np.int64, count=len(pairs))]
+    creator = np.concatenate(faces)[np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs))]
+    lengths = b[destroyer] - b[creator]
+    dim = np.searchsorted(start, creator, side="right") - 2
+    return [int(lengths[dim == k].max(initial=0)) for k in dims]
+
+
+def _lk_from_order(ord_arr: np.ndarray, d_up: int) -> tuple[np.ndarray, np.ndarray]:
+    """(L numerators maxed over columns, (n, d_up+1) per-column numerator
+    lengths)."""
     m, n = ord_arr.shape
     max_size = min(d_up + 2, m)
-    masks, verts, sizes_arr, facets, tiebreak = subset_tables(m, max_size)
-    sizes = sizes_arr.tolist()
-    tmax_all = ord_arr.max(axis=0)
-    per_column: list[list[int]] = [None] * n  # type: ignore[list-item]
+    tmax = ord_arr.max(axis=0)
+    per_column = np.zeros((n, d_up + 1), dtype=np.int64)
     for cols, births in _subset_births_blocks(ord_arr, max_size):
-        for j, a in enumerate(cols):
-            per_column[a] = _column_lengths(
-                births[:, j].tolist(), int(tmax_all[a]), sizes, facets, tiebreak, d_up
-            )
-    L = np.max(np.asarray(per_column, dtype=np.int64), axis=0)
-    return L, per_column
+        block = slice(cols.start, cols.stop)
+        _block_lengths(births, tmax[block], m, max_size, per_column[block])
+    return per_column.max(axis=0), per_column
 
 
 def compute_Lk(

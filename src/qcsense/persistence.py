@@ -4,6 +4,20 @@ field: interval decomposition, diagrams, and maximal persistence lengths.
 The reduction is the standard left-to-right boundary-column elimination
 with bit-packed columns.  Classes alive at the end of the index range are
 capped there and flagged essential.
+
+`persistence_intervals` reduces every column of a filtration; it is the
+reference path.  The estimator's L_k kernel calls `pair_reduction` only
+on what its shortcuts leave (see `estimator._block_lengths`):
+
+- apparent pairs (Bauer, "Ripser", JACT 2021): sigma is the youngest facet
+  of tau and tau the oldest cofacet of sigma.  Such a pair is a
+  persistence pair, so it needs no reduction;
+- clearing (Chen and Kerber, "Persistent homology computation with a
+  twist", 2011): a column whose face is already known to be paired the
+  other way reduces to zero, so it is left out;
+- counting: a ray filtration ends in a full skeleton of the simplex on
+  [m], so dimension k has C(m-1, k+1) finite pairs.  A dimension whose
+  apparent pairs reach that count needs no reduction at all.
 """
 
 from __future__ import annotations
@@ -89,6 +103,11 @@ def pair_reduction(columns: list[int]) -> tuple[dict[int, int], list[int]]:
     columns[j] has bits at the positions of j's facets (all < j).  Returns
     (pairs, creators): pairs maps creator position -> destroyer position;
     creators lists positions whose column reduced to zero.
+
+    Only the column order and the row order of the bits matter, so a
+    caller may pass a subset of the columns (with bits indexing the full
+    filtration), or coboundary columns of the anti-transposed matrix,
+    where the roles of the two positions in a pair swap.
     """
     red = [0] * len(columns)
     pivot_owner: dict[int, int] = {}

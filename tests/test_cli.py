@@ -287,6 +287,19 @@ class TestParser:
         _, out, _ = run_cli(capsys, self.SUBSAMPLE + ["--input", example_csv])
         assert json.loads(out)["params"]["threads"] == 2
 
+    def test_default_threads_report_is_machine_independent(
+        self, capsys, example_csv, monkeypatch
+    ):
+        monkeypatch.delenv("QCSENSE_THREADS", raising=False)
+        reports = []
+        for cpus in (1, 8):
+            monkeypatch.setattr("os.cpu_count", lambda cpus=cpus: cpus)
+            code, out, _ = run_cli(capsys, self.SUBSAMPLE + ["--input", example_csv])
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["params"]["threads"] is None
+
     def test_invalid_threads_env_exits_2(self, capsys, example_csv, monkeypatch):
         monkeypatch.setenv("QCSENSE_THREADS", "soon")
         code, _, err = run_cli(capsys, self.SUBSAMPLE + ["--input", example_csv])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,8 +20,17 @@ from qcsense import (
     subsample_functions,
     subsample_points,
 )
-from qcsense.dowker import subset_tables
-from qcsense.estimator import BLOCK, _subset_births_blocks, default_d_up
+from qcsense.dowker import ray_births, ray_filtration, subset_tables
+from qcsense.estimator import (
+    BLOCK,
+    CHUNK,
+    _apparent_pairs,
+    _lk_from_order,
+    _rank_tables,
+    _subset_births_blocks,
+    default_d_up,
+)
+from qcsense.persistence import _boundary_columns, pair_reduction, persistence_intervals
 
 from conftest import random_tie_free_matrix
 
@@ -102,6 +113,15 @@ def full_scan_births_blocks(ord_arr: np.ndarray, max_size: int):
         yield range(start, stop), births
 
 
+def random_order_table(rng, m: int, n: int, ties: bool):
+    if ties:
+        # few distinct values, so most rows carry ties; ranks break them
+        # by column index
+        vals = rng.integers(0, 4, size=(m, n)).astype(float)
+        return order_table(DataMatrix(vals, check_ties=False))
+    return order_table(random_tie_free_matrix(rng, m, n))
+
+
 class TestBirthTable:
     """The front-restricted birth table equals the full scan bit for bit."""
 
@@ -117,14 +137,7 @@ class TestBirthTable:
     @example(m=5, n=BLOCK + 1, ties=True, seed=1, data=None)
     @settings(max_examples=300, deadline=None)
     def test_matches_full_scan(self, m, n, ties, seed, data):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        if ties:
-            # few distinct values, so most rows carry ties; ranks break
-            # them by column index
-            vals = rng.integers(0, 4, size=(m, n)).astype(float)
-            T = order_table(DataMatrix(vals, check_ties=False))
-        else:
-            T = order_table(random_tie_free_matrix(rng, m, n))
+        T = random_order_table(np.random.Generator(np.random.PCG64(seed)), m, n, ties)
         top = max(m - 2, 0)
         d_up = top if data is None else data.draw(st.integers(0, top))
         max_size = min(d_up + 2, m)
@@ -134,6 +147,135 @@ class TestBirthTable:
         for (_, b_got), (_, b_want) in zip(got, want):
             assert b_got.dtype == b_want.dtype
             assert np.array_equal(b_got, b_want)
+
+
+def column_lengths(
+    births_col: list[int],
+    tmax: int,
+    sizes: list[int],
+    facets: tuple[tuple[int, ...], ...],
+    tiebreak: np.ndarray,
+    d_up: int,
+) -> list[int]:
+    """Reference lengths: max interval length (in grade numerators) per
+    dimension for one column's ray filtration, reducing every column."""
+    S = len(births_col)
+    key = np.asarray(births_col, dtype=np.int64) * S + tiebreak
+    order = np.argsort(key).tolist()
+    pos = [0] * S
+    for j, g in enumerate(order):
+        pos[g] = j
+    columns: list[int] = []
+    for g in order:
+        col = 0
+        for f in facets[g]:
+            col |= 1 << pos[f]
+        columns.append(col)
+    pairs, creators = pair_reduction(columns)
+    best = [0] * (d_up + 1)
+    for j in creators:
+        g = order[j]
+        k = sizes[g] - 1
+        if k > d_up:
+            continue
+        birth = births_col[g]
+        death = tmax if j not in pairs else births_col[order[pairs[j]]]
+        if death - birth > best[k]:
+            best[k] = death - birth
+    return best
+
+
+def reference_lengths(ord_arr: np.ndarray, d_up: int) -> np.ndarray:
+    """(n, d_up+1) per-column lengths from the full-scan births and the
+    full reduction."""
+    m, n = ord_arr.shape
+    max_size = min(d_up + 2, m)
+    _, _, sizes, facets, tiebreak = subset_tables(m, max_size)
+    tmax = ord_arr.max(axis=0)
+    out = []
+    for cols, births in full_scan_births_blocks(ord_arr, max_size):
+        for j, a in enumerate(cols):
+            out.append(column_lengths(
+                births[:, j].tolist(), int(tmax[a]), sizes.tolist(), facets, tiebreak, d_up
+            ))
+    return np.asarray(out, dtype=np.int64).reshape(n, d_up + 1)
+
+
+EDGE_N = (1, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK + 1)
+
+
+class TestLengthKernel:
+    """Apparent pairs, clearing and the pair count give the same per-column
+    numerators as reducing every column."""
+
+    @given(
+        st.integers(1, 7),
+        st.one_of(st.sampled_from(EDGE_N), st.integers(1, 40)),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @example(m=1, n=7, ties=False, seed=0, data=None)
+    @example(m=2, n=1, ties=False, seed=0, data=None)
+    @example(m=2, n=CHUNK + 1, ties=True, seed=2, data=None)
+    @example(m=5, n=BLOCK + 1, ties=True, seed=1, data=None)
+    @example(m=6, n=BLOCK - 1, ties=False, seed=3, data=None)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_reduction(self, m, n, ties, seed, data):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        ord_arr = random_order_table(rng, m, n, ties).ord
+        d_up = m if data is None else data.draw(st.integers(0, m))
+        L, per_column = _lk_from_order(ord_arr, d_up)
+        want = reference_lengths(ord_arr, d_up)
+        assert per_column.dtype == np.int64
+        assert np.array_equal(per_column, want)
+        assert np.array_equal(L, want.max(axis=0))
+
+
+class TestStoppingRulePremise:
+    """What the kernel's count argument rests on, checked on the object path
+    (ray_filtration -> pair_reduction over every column)."""
+
+    @given(st.integers(1, 6), st.integers(1, 30), st.booleans(), st.integers(0, 2**32 - 1),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_counts(self, m, n, ties, seed, data):
+        T = random_order_table(np.random.Generator(np.random.PCG64(seed)), m, n, ties)
+        d_up = data.draw(st.integers(0, m))
+        max_size = min(d_up + 2, m)
+        a = data.draw(st.integers(1, n))
+        D = persistence_intervals(ray_filtration(T, a, max_size - 1), d_up)
+        for k in range(max_size - 1):
+            finite = [iv for iv in D.by_dim(k) if not iv.essential]
+            assert len(finite) == comb(m - 1, k + 1)
+        essential = [iv for iv in D.intervals if iv.essential]
+        assert [iv.dim for iv in essential] == [0]
+
+    @given(st.integers(3, 7), st.integers(1, 30), st.booleans(), st.integers(0, 2**32 - 1),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_apparent_pairs_are_pairs(self, m, n, ties, seed, data):
+        T = random_order_table(np.random.Generator(np.random.PCG64(seed)), m, n, ties)
+        max_size = data.draw(st.integers(3, m))
+        a = data.draw(st.integers(1, n))
+        masks = subset_tables(m, max_size)[0]
+        perm = _rank_tables(m, max_size)[0]
+        S = len(masks)
+        births, _ = ray_births(T, a, max_size)
+        key = births[perm][:, None] * S + np.arange(S)[:, None]
+        young, apparent = _apparent_pairs(key, m, max_size)
+
+        F = ray_filtration(T, a, max_size - 1)
+        pos = {f: j for j, (_, f) in enumerate(F.entries)}
+        assert [masks[perm[r]] for r in np.argsort(key[:, 0])] == [f for _, f in F.entries]
+        pairs, _ = pair_reduction(_boundary_columns(F)[0])
+        found = 0
+        for i in np.flatnonzero(apparent[:, 0]):
+            sigma = masks[perm[young[i, 0] % S]]
+            tau = masks[perm[m + i]]
+            assert pairs[pos[sigma]] == pos[tau]
+            found += 1
+        assert found > 0
 
 
 class TestDHatLow:
@@ -282,19 +424,25 @@ class TestDecideDimension:
 
 class TestInvariance:
     @given(st.integers(0, 10_000))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_monotone_rows_and_column_permutation(self, seed):
+        """Per-column lengths are unchanged by a monotone rescaling of each
+        row and follow a permutation of the columns."""
         rng = np.random.Generator(np.random.PCG64(seed))
-        m = int(rng.integers(2, 5))
-        n = int(rng.integers(3, 9))
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(3, 13))
+        d_up = int(rng.integers(0, m + 1))
         M = random_tie_free_matrix(rng, m, n)
-        P = compute_Lk(M, d_up=m - 1)
+        P = compute_Lk(M, d_up=d_up)
 
         transformed = np.empty_like(M.values)
         for i in range(m):
-            transformed[i] = np.exp(M.values[i] / 4.0) + i
-        assert compute_Lk(DataMatrix(transformed), d_up=m - 1).L == P.L
+            transformed[i] = np.exp(M.values[i] / 4.0) * (i + 1) + i
+        rescaled = compute_Lk(DataMatrix(transformed), d_up=d_up)
+        assert rescaled.L == P.L
+        assert rescaled.per_column == P.per_column
 
         perm = rng.permutation(n)
-        permuted = compute_Lk(DataMatrix(M.values[:, perm]), d_up=m - 1)
+        permuted = compute_Lk(DataMatrix(M.values[:, perm]), d_up=d_up)
         assert permuted.L == P.L
+        assert permuted.per_column == {a: P.per_column[perm[a - 1] + 1] for a in range(1, n + 1)}
