@@ -16,6 +16,7 @@ import argparse
 import csv
 import statistics
 import sys
+from contextlib import nullcontext
 
 from qcsense import RegularPairSpec, interleaving_distance, sample_pair
 
@@ -23,7 +24,7 @@ from qcsense import RegularPairSpec, interleaving_distance, sample_pair
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--d", type=int, default=2, help="ambient dimension of the ball")
-    ap.add_argument("--m", type=int, default=2, help="number of functions (max 4)")
+    ap.add_argument("--m", type=int, default=2, help="number of functions (max 8)")
     ap.add_argument("--family", choices=("linear", "quadratic"), default="quadratic")
     ap.add_argument("--ref-n", type=int, default=800, help="reference sample size")
     ap.add_argument("--sizes", type=int, nargs="+", default=[50, 100, 200, 400])
@@ -56,12 +57,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
 
-    writer = csv.DictWriter(
-        open(args.out, "w", newline="") if args.out else sys.stdout,
-        fieldnames=["trial", "n", "distance"],
-    )
-    writer.writeheader()
-    writer.writerows(rows)
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as f:
+        writer = csv.DictWriter(f, fieldnames=["trial", "n", "distance"])
+        writer.writeheader()
+        writer.writerows(rows)
     return 0
 
 

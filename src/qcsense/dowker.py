@@ -22,9 +22,13 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .central import undominated_columns
 from .ingest import OrderTable
 
 MAX_ROWS = 64  # bitmask capacity; one machine word
+
+# Source columns per subset_gaps block: bounds the block x |C| prefix minima.
+BLOCK = 128
 
 GRID_SNAP = 1e-9  # rescue k/n thresholds from float round-off
 
@@ -293,6 +297,34 @@ def subset_tables(m: int, max_size: int):
     tiebreak = np.empty(len(masks), dtype=np.int64)
     tiebreak[order] = np.arange(len(masks), dtype=np.int64)
     return tuple(masks), tuple(verts), sizes, facets, tiebreak
+
+
+def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
+    """Yield (column_range, gaps) blocks over the columns a of src:
+    gaps[k, j] = max_b min_{i in sigma_k} (src[i, a] - dst[i, b]) for the
+    block's j-th column a and subset sigma_k of subset_tables(m, max_size).
+
+    The max runs over C, the columns of dst that no other column strictly
+    beats in every row.  Any b outside C is beaten in all m rows, hence on
+    sigma, by some b* in C, whose min is larger: the max over C equals the
+    max over all columns of dst.  Minima follow each subset's vertex
+    prefix in the dtype of src - dst; gaps are at least int32, so a caller
+    may rewrite them in place.
+    """
+    m, n = src.shape
+    _, verts, _, _, _ = subset_tables(m, max_size)
+    front = dst[:, undominated_columns(dst)]
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        gaps = np.empty((len(verts), stop - start), dtype=np.result_type(src, dst, np.int32))
+        stack: list[np.ndarray] = []
+        for k, vs in enumerate(verts):
+            row = src[vs[-1], start:stop, None] - front[vs[-1]]
+            stack = stack[: len(vs) - 1]
+            stack.append(np.minimum(stack[-1], row) if stack else row)
+            gaps[k] = stack[-1].max(axis=1)
+        del stack  # free the prefix minima while the caller works on the block
+        yield range(start, stop), gaps
 
 
 def ray_births(T: OrderTable, a: int, max_size: int) -> tuple[np.ndarray, int]:

@@ -22,16 +22,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .central import undominated_columns
-from .dowker import MAX_ROWS, subset_tables
+from .dowker import MAX_ROWS, subset_gaps, subset_tables
 from .ingest import DataMatrix, OrderTable, order_table
 from .persistence import MaxLengths, pair_reduction
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
-# Anchor columns per birth-table block: bounds the block x |C| prefix minima
-# and the S x block birth table handed to the length kernel.
-BLOCK = 128
 # Anchor columns per apparent-pair pass: its (S, CHUNK) key scratch stays far
 # below the S x BLOCK birth table, so the pass adds nothing to peak memory.
 CHUNK = 8
@@ -153,38 +149,15 @@ def _subset_births_blocks(ord_arr: np.ndarray, max_size: int):
 
     Entry grades follow from a min/max identity: subset sigma is present
     for column a at countdown c iff some column b has ord_i(b) <= ord_i(a)
-    - c for all i in sigma, so its birth numerator is max_i ord_i(a) -
-    max_b min_i (ord_i(a) - ord_i(b)).
-
-    The max runs over C, the columns no other column strictly beats in
-    every rank row.  Any b outside C is beaten in all m rows, hence on
-    sigma, by some b* in C, so min_i (ord_i(a) - ord_i(b*)) is larger: the
-    max over C equals the max over all n columns for every sigma and a.
+    - c for all i in sigma, so its birth numerator is max_i ord_i(a) minus
+    the gap max_b min_i (ord_i(a) - ord_i(b)) of `subset_gaps`.
     """
-    m, n = ord_arr.shape
-    masks, verts, _, _, _ = subset_tables(m, max_size)
-    S = len(masks)
     tmax = ord_arr.max(axis=0).astype(np.int32)
     # Rank differences lie in (-n, n): int16 halves the memory traffic of
     # the prefix minima, which bounds the cost of this loop on large blocks.
-    ranks = ord_arr.astype(np.int16 if n < 2**15 else np.int32)
-    front = ranks[:, undominated_columns(ranks)]
-    for start in range(0, n, BLOCK):
-        stop = min(start + BLOCK, n)
-        block = slice(start, stop)
-        births = np.empty((S, stop - start), dtype=np.int32)
-        stack: list[np.ndarray] = []
-        for k, vs in enumerate(verts):
-            depth = len(vs)
-            row = ranks[vs[-1], block][:, None] - front[vs[-1]][None, :]
-            if depth == 1:
-                stack = [row]
-            else:
-                stack = stack[: depth - 1]
-                stack.append(np.minimum(stack[depth - 2], row))
-            births[k] = tmax[block] - stack[-1].max(axis=1)
-        del stack  # free the prefix minima while the caller works on the block
-        yield range(start, stop), births
+    ranks = ord_arr.astype(np.int16 if ord_arr.shape[1] < 2**15 else np.int32)
+    for cols, gaps in subset_gaps(ranks, ranks, max_size):
+        yield cols, np.subtract(tmax[cols.start : cols.stop], gaps, out=gaps)
 
 
 @lru_cache(maxsize=None)

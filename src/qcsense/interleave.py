@@ -7,30 +7,42 @@ versa, for all t in [0,1]^m.
 
 Both complexes are step functions of t that only change at multiples of
 1/n_A resp. 1/n_B, so candidate shifts live on the merged grid of
-multiples of 1/lcm(n_A, n_B).  Feasibility of a shift is monotone, which
-admits a binary search over candidates.
+multiples of 1/lcm(n_A, n_B).  Everything is computed in integers over
+that common denominator: ranks are scaled by alpha = lcm/n_src and
+beta = lcm/n_dst.
 
 Rather than enumerating the full (lcm+1)^m grid, the inclusion is checked
 at its generators.  For a subset sigma and witness column a, sigma enters
-A's complex exactly at the grade vector with coordinates ord_A[i,a]/n_A
-(i in sigma); membership on the B side is monotone in the grade, so the
-inclusion holds at every grid point iff it holds at each of these
-generator grades.  Each generator is itself a merged-grid point, and the
-comparison is carried out in exact integer arithmetic over the common
-denominator, so the result is exact on the grid.
+the source complex exactly at the grade vector with coordinates
+alpha*ord_src[i,a]/lcm (i in sigma); membership on the other side is
+monotone in the grade, so the inclusion holds at every grid point iff it
+holds at each generator.  The generator (sigma, a) is matched after a
+shift s iff some column b has beta*ord_dst[i,b] <= alpha*ord_src[i,a] + s
+for all i in sigma (the clamp at 1 never binds, since beta*ord_dst <=
+lcm).  Its least shift is therefore min_b max_i (beta*ord_dst[i,b] -
+alpha*ord_src[i,a]), the negated subset gap of `dowker.subset_gaps`.  A
+shift is feasible iff it covers every generator's least shift, so the
+distance numerator is the largest of them over both directions.  It is
+never negative: from the finer grid (alpha <= beta), the vertex of a
+rank-1 column has least shift beta - alpha.  The min over b may skip every column of dst that another column
+beats in all rows, since the beating column needs a smaller shift on
+every sigma: the Pareto front of dst suffices.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dowker import subset_gaps, subset_tables
 from .ingest import DataMatrix, OrderTable, order_table
 
-MAX_ROWS = 4
+# The check runs 2^m - 1 faces per column against the other table's front,
+# which also grows with m: n_a=2000 against n_b=1000 takes about 0.02 s at
+# m=4, 0.4-1 s at m=8 and 2-7 s at m=10 on a 2-core machine.
+MAX_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -80,41 +92,13 @@ def _as_table(X) -> OrderTable:
     raise TypeError("expected an OrderTable or DataMatrix")
 
 
-def _direction_feasible(
-    ord_src: np.ndarray,
-    n_src: int,
-    ord_dst: np.ndarray,
-    n_dst: int,
-    lcm: int,
-    shift_numer: int,
-    subsets: list[tuple[int, ...]],
-) -> bool:
-    """Every src-generator grade is matched in dst after the shift.
-
-    For subset sigma and src column a the generator grade has coordinates
-    ord_src[i,a]/n_src; the shifted clamp allows dst ranks up to
-    floor(min(ord_src[i,a]*alpha + shift, lcm)/beta) where alpha, beta
-    scale each grid to the common denominator.
-    """
-    alpha = lcm // n_src
-    beta = lcm // n_dst
-    bounds = np.minimum(ord_src * alpha + shift_numer, lcm) // beta  # (m, n_src)
-    for sigma in subsets:
-        rows = list(sigma)
-        # (n_src, n_dst): dst column b matches src column a on all rows of sigma
-        ok = (ord_dst[rows][:, None, :] <= bounds[rows][:, :, None]).all(axis=0)
-        if not ok.any(axis=1).all():
-            return False
-    return True
-
-
 def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult:
     """Smallest merged-grid shift with mutual inclusion of the two filtrations.
 
     ``A`` and ``B`` are order tables (or matrices, ranked on the fly) over
     the same m rows; ``skeleton`` bounds the simplex dimension considered
-    (default m-1, the full complex).  Exact on the merged grid; the
-    enumeration is exponential in m, so m is capped at MAX_ROWS.
+    (default m-1, the full complex).  Exact on the merged grid; the work
+    grows as 2^m, so m is capped at MAX_ROWS.
     """
     TA = _as_table(A)
     TB = _as_table(B)
@@ -123,7 +107,7 @@ def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult
     m = TA.m
     if m > MAX_ROWS:
         raise ValueError(
-            f"m={m} rows would enumerate O((n_a+n_b)^{m}) grid cells; "
+            f"m={m} rows would check 2^{m} - 1 faces per column; "
             f"at most {MAX_ROWS} rows supported"
         )
     if skeleton is None:
@@ -131,30 +115,21 @@ def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult
     if skeleton < 0:
         raise ValueError("skeleton bound must be nonnegative")
     max_size = min(skeleton + 1, m)
-    subsets = [
-        sigma
-        for size in range(1, max_size + 1)
-        for sigma in itertools.combinations(range(m), size)
-    ]
     n_a, n_b = TA.n, TB.n
     lcm = math.lcm(n_a, n_b)
-
-    def feasible(shift: int) -> bool:
-        return _direction_feasible(
-            TA.ord, n_a, TB.ord, n_b, lcm, shift, subsets
-        ) and _direction_feasible(TB.ord, n_b, TA.ord, n_a, lcm, shift, subsets)
-
-    lo, hi = 0, lcm  # shift = lcm clamps every bound to the top: always feasible
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    checked = len(subsets)
+    # scaled ranks lie in [1, lcm], their differences in (-lcm, lcm)
+    dtype = np.int32 if lcm < 2**30 else np.int64
+    scaled_a = TA.ord.astype(dtype) * (lcm // n_a)
+    scaled_b = TB.ord.astype(dtype) * (lcm // n_b)
+    numerator = -min(
+        int(gaps.min())
+        for src, dst in ((scaled_a, scaled_b), (scaled_b, scaled_a))
+        for _, gaps in subset_gaps(src, dst, max_size)
+    )
+    checked = len(subset_tables(m, max_size)[0])
     return InterleaveResult(
-        distance=lo / lcm,
-        numerator=lo,
+        distance=numerator / lcm,
+        numerator=numerator,
         denominator=lcm,
         m=m,
         n_a=n_a,

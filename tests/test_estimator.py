@@ -20,9 +20,8 @@ from qcsense import (
     subsample_functions,
     subsample_points,
 )
-from qcsense.dowker import ray_births, ray_filtration, subset_tables
+from qcsense.dowker import BLOCK, ray_births, ray_filtration, subset_tables
 from qcsense.estimator import (
-    BLOCK,
     CHUNK,
     _apparent_pairs,
     _lk_from_order,
@@ -32,7 +31,7 @@ from qcsense.estimator import (
 )
 from qcsense.persistence import _boundary_columns, pair_reduction, persistence_intervals
 
-from conftest import random_tie_free_matrix
+from conftest import random_order_table, random_tie_free_matrix
 
 
 class TestComputeLk:
@@ -111,15 +110,6 @@ def full_scan_births_blocks(ord_arr: np.ndarray, max_size: int):
                 stack.append(np.minimum(stack[depth - 2], row))
             births[k] = tmax[block] - stack[-1].max(axis=1)
         yield range(start, stop), births
-
-
-def random_order_table(rng, m: int, n: int, ties: bool):
-    if ties:
-        # few distinct values, so most rows carry ties; ranks break them
-        # by column index
-        vals = rng.integers(0, 4, size=(m, n)).astype(float)
-        return order_table(DataMatrix(vals, check_ties=False))
-    return order_table(random_tie_free_matrix(rng, m, n))
 
 
 class TestBirthTable:

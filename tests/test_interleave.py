@@ -1,20 +1,26 @@
-"""Interleaving distance versus an exhaustive merged-grid oracle."""
+"""Interleaving distance versus the binary search it replaced and an
+exhaustive merged-grid oracle."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import runpy
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcsense import DataMatrix, interleaving_distance, order_table
 from qcsense.dowker import dowker_at
+from qcsense.interleave import MAX_ROWS, InterleaveResult, _as_table
 
-from conftest import random_tie_free_matrix
+from conftest import random_order_table, random_tie_free_matrix
 
 
 def _all_grid_complexes(T, lcm):
@@ -38,6 +44,67 @@ def brute_force_numerator(TA, TB):
         ):
             return e, lcm
     raise AssertionError("the full shift clamps everything and is always feasible")
+
+
+def _direction_feasible(ord_src, n_src, ord_dst, n_dst, lcm, shift_numer, subsets):
+    """Every src-generator grade is matched in dst after the shift.
+
+    For subset sigma and src column a the generator grade has coordinates
+    ord_src[i,a]/n_src; the shifted clamp allows dst ranks up to
+    floor(min(ord_src[i,a]*alpha + shift, lcm)/beta) where alpha, beta
+    scale each grid to the common denominator.
+    """
+    alpha = lcm // n_src
+    beta = lcm // n_dst
+    bounds = np.minimum(ord_src * alpha + shift_numer, lcm) // beta  # (m, n_src)
+    for sigma in subsets:
+        rows = list(sigma)
+        # (n_src, n_dst): dst column b matches src column a on all rows of sigma
+        ok = (ord_dst[rows][:, None, :] <= bounds[rows][:, :, None]).all(axis=0)
+        if not ok.any(axis=1).all():
+            return False
+    return True
+
+
+def binary_search_distance(A, B, skeleton=None) -> InterleaveResult:
+    """Least feasible merged-grid shift by binary search over probes of
+    every generator against every dst column (feasibility is monotone)."""
+    TA, TB = _as_table(A), _as_table(B)
+    m = TA.m
+    if skeleton is None:
+        skeleton = m - 1
+    max_size = min(skeleton + 1, m)
+    subsets = [
+        sigma
+        for size in range(1, max_size + 1)
+        for sigma in itertools.combinations(range(m), size)
+    ]
+    n_a, n_b = TA.n, TB.n
+    lcm = math.lcm(n_a, n_b)
+
+    def feasible(shift: int) -> bool:
+        return _direction_feasible(
+            TA.ord, n_a, TB.ord, n_b, lcm, shift, subsets
+        ) and _direction_feasible(TB.ord, n_b, TA.ord, n_a, lcm, shift, subsets)
+
+    lo, hi = 0, lcm  # shift = lcm clamps every bound to the top: always feasible
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    checked = len(subsets)
+    return InterleaveResult(
+        distance=lo / lcm,
+        numerator=lo,
+        denominator=lcm,
+        m=m,
+        n_a=n_a,
+        n_b=n_b,
+        skeleton=skeleton,
+        certificate=(checked * n_a, checked * n_b),
+    )
 
 
 def _table_from_rows(rows):
@@ -100,9 +167,17 @@ class TestValidation:
             interleaving_distance(A, B)
 
     def test_too_many_rows(self):
-        vals = np.arange(10.0).reshape(5, 2)
-        with pytest.raises(ValueError, match="at most 4 rows"):
+        vals = np.arange(18.0).reshape(9, 2)
+        with pytest.raises(ValueError, match=r"m=9 rows would check 2\^9 - 1 faces .*at most 8 rows"):
             interleaving_distance(DataMatrix(vals), DataMatrix(vals))
+
+    def test_row_cap(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        A = random_tie_free_matrix(rng, MAX_ROWS, 6)
+        B = random_tie_free_matrix(rng, MAX_ROWS, 5)
+        assert interleaving_distance(A, B).to_json_obj() == binary_search_distance(
+            A, B
+        ).to_json_obj()
 
     def test_negative_skeleton(self):
         A = _table_from_rows([[1.0, 2.0]])
@@ -114,14 +189,50 @@ class TestValidation:
             interleaving_distance([[1.0, 2.0]], [[1.0, 2.0]])
 
 
+class TestAgainstBinarySearch:
+    """The one-pass least shift equals the binary search it replaced."""
+
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @example(m=1, n_a=1, n_b=2, ties=False, seed=0, data=None)
+    @example(m=3, n_a=37, n_b=39, ties=False, seed=1, data=None)  # lcm 1443
+    @example(m=5, n_a=40, n_b=39, ties=True, seed=2, data=None)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_binary_search(self, m, n_a, n_b, ties, seed, data):
+        assume(n_a != n_b)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        TA = random_order_table(rng, m, n_a, ties)
+        TB = random_order_table(rng, m, n_b, ties)
+        skeleton = m - 1 if data is None else data.draw(st.integers(0, m))
+        got = interleaving_distance(TA, TB, skeleton=skeleton).to_json_obj()
+        assert got == binary_search_distance(TA, TB, skeleton=skeleton).to_json_obj()
+
+    def test_coprime_grids_past_int32(self):
+        # one row: the least rank 1 gives numerator |lcm/n_a - lcm/n_b| = 1,
+        # with scaled ranks up to lcm = 2,499,950,000 > 2^31
+        A = _table_from_rows([np.arange(50_000.0)])
+        B = _table_from_rows([np.arange(49_999.0)])
+        res = interleaving_distance(A, B)
+        assert (res.numerator, res.denominator) == (1, 50_000 * 49_999)
+        assert res.distance == 1 / (50_000 * 49_999)
+
+
 class TestAgainstBruteForce:
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_matches_exhaustive_grid_check(self, seed):
+        # m <= 2 at n <= 4, m = 3 at n <= 3: at most 7^3 grid points
         rng = np.random.Generator(np.random.PCG64(seed))
-        m = int(rng.integers(1, 3))
-        TA = order_table(random_tie_free_matrix(rng, m, int(rng.integers(2, 5))))
-        TB = order_table(random_tie_free_matrix(rng, m, int(rng.integers(2, 5))))
+        m = int(rng.integers(1, 4))
+        n_hi = 5 if m <= 2 else 4
+        TA = order_table(random_tie_free_matrix(rng, m, int(rng.integers(2, n_hi))))
+        TB = order_table(random_tie_free_matrix(rng, m, int(rng.integers(2, n_hi))))
         res = interleaving_distance(TA, TB)
         assert (res.numerator, res.denominator) == brute_force_numerator(TA, TB)
 
@@ -169,3 +280,17 @@ class TestSkeletonBound:
         A = _table_from_rows([[1.0, 2.0], [2.0, 1.0]])
         res = interleaving_distance(A, A, skeleton=10)
         assert res.distance == 0.0
+
+
+def test_trend_script_closes_its_csv(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "interleave_trend.py"
+    main = runpy.run_path(str(script))["main"]
+    out = tmp_path / "trend.csv"
+    argv = ["--m", "1", "--ref-n", "20", "--sizes", "5", "10", "--trials", "2", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(argv) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert out.read_text().splitlines()[0] == "trial,n,distance"
+    assert len(out.read_text().splitlines()) == 1 + 2 * 2
