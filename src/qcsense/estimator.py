@@ -165,14 +165,14 @@ def _rank_tables(m: int, max_size: int):
     """The faces of subset_tables(m, max_size) renumbered by tie-break
     rank, i.e. by (size, vertex order), so that each size is one range.
 
-    Returns (perm, start, cofacets, facet_slots, cofacet_slots).  perm[r]
-    is the subset_tables index of the face of rank r, and the faces of
-    size s hold ranks start[s] .. start[s+1]-1.  cofacets[s] is the
-    (N_s, m-s) array of cofacet ranks of the size-s faces, s < max_size.
-    facet_slots[i] is the i-th facet rank of every face of size >= 2, and
-    cofacet_slots[i] the i-th cofacet rank of every face of size 1 ..
-    max_size-1; shorter lists repeat their first entry, which changes no
-    max or min over the slots.  Every facet ranks below its face.
+    Returns (perm, start, facets, cofacets).  perm[r] is the subset_tables
+    index of the face of rank r, and the faces of size s hold ranks
+    start[s] .. start[s+1]-1.  facets[r - m] lists the facet ranks of the
+    face of rank r >= m, and cofacets[r] the cofacet ranks of the face of
+    rank r < start[max_size].  Shorter lists repeat their first entry,
+    which changes no max or min over a slot (a column) and no bit set
+    from a row.  The tables are column-major, so each slot is contiguous,
+    and None when max_size < 3.  Every facet ranks below its face.
     """
     masks, _, sizes, facet_idx, tiebreak = subset_tables(m, max_size)
     perm = np.argsort(tiebreak)
@@ -182,21 +182,19 @@ def _rank_tables(m: int, max_size: int):
     def faces(s):
         return perm[start[s] : start[s + 1]].tolist()
 
-    def slots(tables, width):
-        padded = [np.hstack([t, np.repeat(t[:, :1], width - t.shape[1], axis=1)]) for t in tables]
-        return tuple(np.ascontiguousarray(col) for col in np.vstack(padded).T)
+    def padded(tables, width):
+        rows = [np.hstack([t, np.repeat(t[:, :1], width - t.shape[1], axis=1)]) for t in tables]
+        return np.asfortranarray(np.vstack(rows))
 
-    cofacets = {
-        s: np.array([[rank[masks[k] | 1 << v] for v in range(m) if not masks[k] >> v & 1]
-                     for k in faces(s)]).reshape(-1, m - s)
+    if max_size < 3:  # the kernel needs a dimension in 1 .. max_size-2
+        return perm, start, None, None
+    facets = [tiebreak[[list(facet_idx[k]) for k in faces(s)]] for s in range(2, max_size + 1)]
+    cofacets = [
+        np.array([[rank[masks[k] | 1 << v] for v in range(m) if not masks[k] >> v & 1]
+                  for k in faces(s)]).reshape(-1, m - s)
         for s in range(1, max_size)
-    }
-    facet_slots = cofacet_slots = ()
-    if max_size >= 3:  # the apparent-pair pass needs a dimension in 1 .. max_size-2
-        facets = [tiebreak[[list(facet_idx[k]) for k in faces(s)]] for s in range(2, max_size + 1)]
-        facet_slots = slots(facets, max_size)
-        cofacet_slots = slots(list(cofacets.values()), m - 1)
-    return perm, start, cofacets, facet_slots, cofacet_slots
+    ]
+    return perm, start, padded(facets, max_size), padded(cofacets, m - 1)
 
 
 def _apparent_pairs(key: np.ndarray, m: int, max_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,13 +206,13 @@ def _apparent_pairs(key: np.ndarray, m: int, max_size: int) -> tuple[np.ndarray,
     facet and face m+i form an apparent pair.  Slot by slot, so no
     facet-by-key array is ever gathered.
     """
-    _, _, _, facet_slots, cofacet_slots = _rank_tables(m, max_size)
+    _, _, facets, cofacets = _rank_tables(m, max_size)
     S = key.shape[0]
-    young = key[facet_slots[0]]
-    for f in facet_slots[1:]:
+    young = key[facets[:, 0]]
+    for f in facets.T[1:]:
         np.maximum(young, key[f], out=young)
-    old = key[cofacet_slots[0]]
-    for f in cofacet_slots[1:]:
+    old = key[cofacets[:, 0]]
+    for f in cofacets.T[1:]:
         np.minimum(old, key[f], out=old)
     return young, np.take_along_axis(old % S, young % S, axis=0) == np.arange(m, S)[:, None]
 
@@ -235,25 +233,22 @@ def _block_lengths(births: np.ndarray, tmax: np.ndarray, m: int, max_size: int,
     - L_0 is that vertex's length, tmax minus the least vertex birth; no
       finite dimension-0 pair is longer;
     - dimensions max_size-1 .. d_up have no creators, so length 0;
-    - for 1 <= k <= max_size-2, apparent pairs settle the dimension when
-      there are enough of them.  (sigma, tau) is apparent when sigma is
-      tau's youngest facet and tau is sigma's oldest cofacet, in the
-      filtration order births*S + tie-break rank.  No column before tau
-      contains sigma, so tau's boundary column is already reduced with
-      pivot sigma: the pair is a persistence pair.  When a column has
-      C(m-1, k+1) apparent pairs in dimension k, they are all its pairs
-      there, and L_k is the longest of them.
+    - for 1 <= k <= max_size-2, (sigma, tau) is an apparent pair when
+      sigma is tau's youngest facet and tau is sigma's oldest cofacet, in
+      the filtration order births*S + tie-break rank.  No column before
+      tau contains sigma, so tau's boundary column is already reduced with
+      pivot sigma: the pair is a persistence pair.  A dimension with
+      C(m-1, k+1) apparent pairs is settled by them; otherwise
+      _reduce_leftover finds the rest and stops at the count.
 
     Apparent pairs are found in numpy, CHUNK columns at a time, with a
-    running max over facet slots and min over cofacet slots.  Columns
-    with an unfinished dimension go to _reduce_leftover.
+    running max over facet slots and min over cofacet slots.
     """
     S, B = births.shape
-    perm, start, cofacets, _, _ = _rank_tables(m, max_size)
+    perm, start, _, _ = _rank_tables(m, max_size)
     top = max_size - 2
     key_type = np.int32 if (int(tmax.max()) + 1) * S < 2**31 else np.int64
     ranks = np.arange(S, dtype=key_type)[:, None]
-    counts = [comb(m - 1, k + 1) for k in range(top + 1)]
     out[:, 0] = tmax - births[perm[:m]].min(axis=0)
     if top < 1:
         return
@@ -263,62 +258,73 @@ def _block_lengths(births: np.ndarray, tmax: np.ndarray, m: int, max_size: int,
         key = b.astype(key_type) * S + ranks
         young, apparent = _apparent_pairs(key, m, max_size)
         length = np.where(apparent, (key[m:] - young) // S, 0)
-        unfinished = np.zeros((top + 1, c1 - c0), dtype=bool)
+        need = np.zeros((top + 1, c1 - c0), dtype=np.int64)  # non-apparent pairs
         for k in range(1, top + 1):
             rows = slice(start[k + 2] - m, start[k + 3] - m)
             out[c0:c1, k] = length[rows].max(axis=0)
-            unfinished[k] = apparent[rows].sum(axis=0) != counts[k]
-        for j in np.flatnonzero(unfinished.any(axis=0)).tolist():
-            dims = np.flatnonzero(unfinished[:, j]).tolist()
-            out[c0 + j, dims] = _reduce_leftover(
-                b[:, j], np.argsort(key[:, j]), apparent[:, j], dims, start, cofacets, m
-            )
+            need[k] = comb(m - 1, k + 1) - apparent[rows].sum(axis=0)
+        for j in np.flatnonzero(need.any(axis=0)).tolist():
+            _reduce_leftover(b[:, j], key[:, j], young[:, j], apparent[:, j],
+                             [(k, q) for k, q in enumerate(need[:, j].tolist()) if q],
+                             m, max_size, out[c0 + j])
 
 
-def _reduce_leftover(b, order, apparent, dims, start, cofacets, m) -> list[int]:
-    """Longest finite pair per dimension in dims for one column, from one
-    pair_reduction call.
+def _reduce_leftover(b, key, young, apparent, need, m, max_size, row) -> None:
+    """Raise row[k] to the longest non-apparent pair of each unfinished
+    dimension k of one column; need lists (k, its non-apparent pair count)
+    in ascending k.  b holds the column's births by rank, key its keys,
+    and young / apparent the `_apparent_pairs` output for ranks >= m.
 
-    The reduction runs on coboundary columns (the anti-transposed boundary
-    matrix): for each dimension k, the size-(k+1) faces youngest first,
-    each with a bit at the reversed filtration position of every cofacet.
-    The anti-transpose has the same persistence pairs (de Silva, Morozov
-    and Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).
-    Clearing: a face that destroys a dimension-(k-1) pair has a coboundary
-    that reduces to zero, so the apparent destroyers are left out.  What
-    stays is the C(m-1, k+1) creators plus the few non-apparent
-    destroyers; no essential cycle of the top dimension enters, as it
-    would in the boundary matrix.  The matrix is graded, so the
-    dimensions never mix.
-
-    b holds the column's births by rank, order its ranks in filtration
-    order, and apparent[r - m] whether the face of rank r >= m is an
-    apparent destroyer.
+    One pair_reduction per dimension, on coboundary columns (same pairs
+    as the boundary matrix: de Silva, Morozov and Vejdemo-Johansson,
+    "Dualities in persistent (co)homology", 2011): the size-(k+1) faces
+    youngest first, with bits at the reversed positions of their
+    cofacets.  Left out are the destroyers of dimension k-1, apparent or
+    found by the previous reduction (clearing: they reduce to zero), and
+    the apparent creators.  For an apparent pair (sigma, tau), tau is
+    sigma's oldest cofacet, the pivot of its coboundary, and sigma is
+    tau's youngest facet, so every column with bit tau comes after sigma,
+    which is then already reduced: `owned` regenerates it when tau turns
+    up as a pivot, and the pairs are those of the full reduction.  What
+    enters are creators (in dimension 1 also non-apparent dimension-0
+    destroyers), so the reduction stops at the count; any later column
+    would reduce to zero.
     """
+    _, start, _, cofacets = _rank_tables(m, max_size)
     S = len(b)
+    order = np.argsort(key)
     rev = np.empty(S, dtype=np.int64)
-    rev[order[::-1]] = np.arange(S)
-    width = (S + 7) // 8
-    faces, packed = [], []
-    for k in dims:
-        s = k + 1
-        f = start[s] + np.flatnonzero(~apparent[start[s] - m : start[s + 1] - m])
-        f = f[np.argsort(rev[f])]
-        bits = rev[cofacets[s][f - start[s]]]
-        # bytes packed in numpy make the ints faster than OR-ing shifted bits
-        cols = np.zeros((len(f), width), dtype=np.uint8)
-        np.add.at(cols, (np.arange(len(f))[:, None], bits >> 3), (1 << (bits & 7)).astype(np.uint8))
-        faces.append(f)
-        packed.append(cols)
-    data = np.concatenate(packed).tobytes()
-    pairs, _ = pair_reduction(
-        [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
-    )
-    destroyer = order[S - 1 - np.fromiter(pairs.keys(), dtype=np.int64, count=len(pairs))]
-    creator = np.concatenate(faces)[np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs))]
-    lengths = b[destroyer] - b[creator]
-    dim = np.searchsorted(start, creator, side="right") - 2
-    return [int(lengths[dim == k].max(initial=0)) for k in dims]
+    rev[order] = np.arange(S - 1, -1, -1)
+    tau = m + np.flatnonzero(apparent)
+    sigma = young[apparent] % S
+    creator = dict(zip(rev[tau].tolist(), sigma.tolist()))
+
+    def owned(p):
+        s = creator.get(p)
+        return None if s is None else _column(rev[cofacets[s]].tolist())
+
+    paired = np.zeros(S, dtype=bool)
+    paired[tau] = paired[sigma] = True
+    free = m + np.flatnonzero(~paired[m : start[max_size]])
+    face, pos, bits = free.tolist(), rev[free].tolist(), rev[cofacets[free]].tolist()
+    bounds = np.searchsorted(free, start).tolist()
+    found, creators = [], []  # found: reversed positions of the destroyers
+    for k, q in need:
+        cols = [i for i in range(bounds[k + 1], bounds[k + 2]) if pos[i] not in found]
+        cols.sort(key=pos.__getitem__)
+        pairs, _ = pair_reduction([_column(bits[i]) for i in cols], owned, q)
+        found += pairs
+        creators += [face[cols[j]] for j in pairs.values()]
+    destroyers = order[S - 1 - np.array(found, dtype=np.int64)]
+    dims = np.searchsorted(start, creators, side="right") - 2
+    np.maximum.at(row, dims, b[destroyers] - b[creators])
+
+
+def _column(bits: list[int]) -> int:
+    col = 0
+    for x in bits:
+        col |= 1 << x
+    return col
 
 
 def _lk_from_order(ord_arr: np.ndarray, d_up: int) -> tuple[np.ndarray, np.ndarray]:
@@ -378,14 +384,6 @@ def d_hat_low(P: LkProfile, epsilon: float) -> EstimateResult:
 
 
 def _run_replicates(tasks, worker, threads: int, progress=None) -> list:
-    total = len(tasks)
-    if threads <= 1:
-        out = []
-        for i, t in enumerate(tasks):
-            out.append(worker(t))
-            if progress is not None:
-                progress(i + 1, total)
-        return out
     lock = threading.Lock()
     done = 0
 
@@ -395,9 +393,11 @@ def _run_replicates(tasks, worker, threads: int, progress=None) -> list:
         if progress is not None:
             with lock:
                 done += 1
-                progress(done, total)
+                progress(done, len(tasks))
         return result
 
+    if threads <= 1:
+        return list(map(counted, tasks))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(counted, tasks))
 

@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .central import undominated_columns
+from .central import BLOCK, undominated_columns
 from .exactlp import convex_combination, feasible_system, rational_rank
 from .ingest import DataMatrix
 
@@ -595,19 +595,27 @@ def cent0_predicate(spec: RegularPairSpec, n_probe: int = 4096) -> Callable:
     probes = _ball_points(rng, n_probe, spec.d)
     F = spec.evaluate(probes)  # (m, n_probe)
     front = F[:, undominated_columns(F)]  # (m, n_front)
+    width = max(front.shape[1], BLOCK)
 
     def pred(X: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
         single = X.ndim == 1
-        X = np.atleast_2d(X)
-        fx = spec.evaluate(X)  # (m, q)
-        beaten = np.zeros(X.shape[0], dtype=bool)
-        for p in range(front.shape[1]):
-            alive = np.nonzero(~beaten)[0]
-            if alive.size == 0:
-                break
-            beaten[alive] = (front[:, p : p + 1] < fx[:, alive]).all(axis=0)
-        member = ~beaten
+        fx = spec.evaluate(np.atleast_2d(X))  # (m, q)
+        member = np.zeros(fx.shape[1], dtype=bool)
+        # `width` points at a time against BLOCK probes at a time, dropping
+        # the beaten points after each probe block: the scratch stays within
+        # BLOCK x width booleans
+        for start in range(0, fx.shape[1], width):
+            alive = np.arange(start, min(start + width, fx.shape[1]))
+            for p in range(0, front.shape[1], BLOCK):
+                if alive.size == 0:
+                    break
+                probes, x = front[:, p : p + BLOCK], fx[:, alive]
+                beaten = probes[0][:, None] < x[0]
+                for f, xi in zip(probes[1:], x[1:]):
+                    beaten &= f[:, None] < xi
+                alive = alive[~beaten.any(axis=0)]
+            member[alive] = True
         return bool(member[0]) if single else member
 
     pred.approximate = True

@@ -24,9 +24,10 @@ alpha*ord_src[i,a]), the negated subset gap of `dowker.subset_gaps`.  A
 shift is feasible iff it covers every generator's least shift, so the
 distance numerator is the largest of them over both directions.  It is
 never negative: from the finer grid (alpha <= beta), the vertex of a
-rank-1 column has least shift beta - alpha.  The min over b may skip every column of dst that another column
-beats in all rows, since the beating column needs a smaller shift on
-every sigma: the Pareto front of dst suffices.
+rank-1 column has least shift beta - alpha.  The min over b may skip
+every column of dst that another column beats in all rows, since the
+beating column needs a smaller shift on every sigma: the Pareto front of
+dst suffices.
 """
 
 from __future__ import annotations

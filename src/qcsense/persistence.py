@@ -1,23 +1,24 @@
 """Persistent homology of one-parameter filtrations over the two-element
 field: interval decomposition, diagrams, and maximal persistence lengths.
 
-The reduction is the standard left-to-right boundary-column elimination
-with bit-packed columns.  Classes alive at the end of the index range are
-capped there and flagged essential.
-
-`persistence_intervals` reduces every column of a filtration; it is the
-reference path.  The estimator's L_k kernel calls `pair_reduction` only
-on what its shortcuts leave (see `estimator._block_lengths`):
+The reduction is the standard left-to-right column elimination with
+bit-packed columns; classes alive at the end of the index range are
+capped there and flagged essential.  `persistence_intervals` reduces
+every column of a filtration; it is the reference path.  The estimator's
+L_k kernel calls `pair_reduction` only on what its shortcuts leave (see
+`estimator._block_lengths` and `estimator._reduce_leftover`):
 
 - apparent pairs (Bauer, "Ripser", JACT 2021): sigma is the youngest facet
-  of tau and tau the oldest cofacet of sigma.  Such a pair is a
-  persistence pair, so it needs no reduction;
-- clearing (Chen and Kerber, "Persistent homology computation with a
-  twist", 2011): a column whose face is already known to be paired the
-  other way reduces to zero, so it is left out;
+  of tau and tau the oldest cofacet of sigma, a persistence pair that
+  needs no reduction.  sigma's column is an implicit reducer: it is not
+  passed, but regenerated when tau turns up as a pivot (`owned`);
+- clearing across dimensions (Chen and Kerber, "Persistent homology
+  computation with a twist", 2011): a face that destroys a pair one
+  dimension down, apparent or found there, reduces to zero;
 - counting: a ray filtration ends in a full skeleton of the simplex on
   [m], so dimension k has C(m-1, k+1) finite pairs.  A dimension whose
-  apparent pairs reach that count needs no reduction at all.
+  apparent pairs reach that count is not reduced; any other stops
+  (`limit`) once it has the rest.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class MaxLengths:
         return len(self.lengths)
 
 
-def pair_reduction(columns: list[int]) -> tuple[dict[int, int], list[int]]:
+def pair_reduction(columns: list[int], owned=None, limit=None) -> tuple[dict[int, int], list[int]]:
     """Reduce bit-packed boundary columns left to right.
 
     columns[j] has bits at the positions of j's facets (all < j).  Returns
@@ -107,24 +108,28 @@ def pair_reduction(columns: list[int]) -> tuple[dict[int, int], list[int]]:
     Only the column order and the row order of the bits matter, so a
     caller may pass a subset of the columns (with bits indexing the full
     filtration), or coboundary columns of the anti-transposed matrix,
-    where the roles of the two positions in a pair swap.
+    where the roles of the two positions in a pair swap.  owned(p) may
+    return the reduced column, pivot p, of a column left out of `columns`;
+    the pivot table keeps it, and the rest pair as in the full matrix.
+    With a limit, the reduction stops at the first `limit` pairs.
     """
-    red = [0] * len(columns)
-    pivot_owner: dict[int, int] = {}
+    reduced: dict[int, int] = {}  # pivot -> reduced column
     pairs: dict[int, int] = {}
     creators: list[int] = []
-    for j, col in enumerate(columns):
-        cur = col
+    for j, cur in enumerate(columns):
+        if len(pairs) == limit:
+            break
         while cur:
             p = cur.bit_length() - 1
-            owner = pivot_owner.get(p)
-            if owner is None:
-                pivot_owner[p] = j
+            col = reduced.get(p)
+            if col is None and owned:
+                col = reduced[p] = owned(p)
+            if col is None:
+                reduced[p] = cur
                 pairs[p] = j
                 break
-            cur ^= red[owner]
-        red[j] = cur
-        if cur == 0:
+            cur ^= col
+        else:
             creators.append(j)
     return pairs, creators
 
@@ -174,15 +179,9 @@ def persistence_intervals(F: Filtration, d_up: int) -> PersistenceDiagram:
         k = sizes[j] - 1
         if k > d_up:
             continue
-        destroyer = pairs.get(j)
-        if destroyer is None:
-            intervals.append(
-                PersistenceInterval(k, grades[j], F.t_end_numer, F.denominator, True)
-            )
-        else:
-            intervals.append(
-                PersistenceInterval(k, grades[j], grades[destroyer], F.denominator)
-            )
+        d = pairs.get(j)
+        death = F.t_end_numer if d is None else grades[d]
+        intervals.append(PersistenceInterval(k, grades[j], death, F.denominator, d is None))
     intervals.sort(key=lambda iv: (iv.dim, iv.birth_numer, iv.death_numer, not iv.essential))
     return PersistenceDiagram(d_up, F.denominator, F.t_end_numer, tuple(intervals))
 

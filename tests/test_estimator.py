@@ -20,6 +20,7 @@ from qcsense import (
     subsample_functions,
     subsample_points,
 )
+from qcsense import estimator
 from qcsense.dowker import BLOCK, ray_births, ray_filtration, subset_tables
 from qcsense.estimator import (
     CHUNK,
@@ -220,6 +221,41 @@ class TestLengthKernel:
         assert per_column.dtype == np.int64
         assert np.array_equal(per_column, want)
         assert np.array_equal(L, want.max(axis=0))
+
+
+class TestHeavyLeftover:
+    """Tables on which nearly every anchor has an unfinished dimension, so
+    the leftover reduction runs with its implicit reducers and stops early
+    at the pair count; numerators are compared with the full reduction."""
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_full_reduction(self, monkeypatch, ties):
+        rng = np.random.Generator(np.random.PCG64(20261018))
+        ord_arr = random_order_table(rng, 10, 60, ties).ord
+        want = reference_lengths(ord_arr, 3)
+        hits = dict(anchors=0, owned=0, early=0)
+        leftover, reduce = estimator._reduce_leftover, estimator.pair_reduction
+
+        def counted_leftover(*args):
+            hits["anchors"] += 1
+            leftover(*args)
+
+        def counted_reduce(columns, owned, limit):
+            def counted_owned(p):
+                col = owned(p)
+                hits["owned"] += col is not None
+                return col
+
+            pairs, creators = reduce(columns, counted_owned, limit)
+            hits["early"] += len(pairs) + len(creators) < len(columns)
+            return pairs, creators
+
+        monkeypatch.setattr(estimator, "_reduce_leftover", counted_leftover)
+        monkeypatch.setattr(estimator, "pair_reduction", counted_reduce)
+        _, per_column = _lk_from_order(ord_arr, 3)
+        assert np.array_equal(per_column, want)
+        assert hits["anchors"] >= 54  # nine in ten of the 60 anchors
+        assert hits["owned"] > 0 and hits["early"] > 0
 
 
 class TestStoppingRulePremise:

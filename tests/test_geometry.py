@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qcsense.geometry import _sampled_directions
+from qcsense.central import undominated_columns
+from qcsense.geometry import _ball_points, _sampled_directions
 
 from qcsense import (
     Cent1Result,
@@ -381,6 +382,52 @@ class TestCent0Predicate:
         obj = mc_measure(spec, cent0_predicate(spec), n_mc=100, seed=0).to_json_obj()
         assert obj["generator"] == "numpy.random.PCG64"
         assert obj["n_mc"] == 100
+
+
+def cent0_loop(spec: RegularPairSpec, n_probe: int, X: np.ndarray) -> np.ndarray:
+    """Oracle: the one-probe-at-a-time loop the quadratic cent0 predicate
+    ran before it was blocked."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed ^ 0x9E3779B9))
+    F = spec.evaluate(_ball_points(rng, n_probe, spec.d))
+    front = F[:, undominated_columns(F)]
+    fx = spec.evaluate(np.atleast_2d(X))
+    beaten = np.zeros(fx.shape[1], dtype=bool)
+    for p in range(front.shape[1]):
+        alive = np.nonzero(~beaten)[0]
+        if alive.size == 0:
+            break
+        beaten[alive] = (front[:, p : p + 1] < fx[:, alive]).all(axis=0)
+    return ~beaten
+
+
+class TestCent0Blocked:
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 7),
+        st.integers(0, 2**16),
+        st.sampled_from([1, 7, 127, 128, 129, 700]),
+        st.sampled_from([0, 1, 127, 128, 129, 1000, 2500]),
+    )
+    @example(d=2, m=6, seed=0, n_probe=700, q=129)  # fronts past one probe block
+    @example(d=2, m=7, seed=1, n_probe=700, q=0)
+    @example(d=3, m=6, seed=5, n_probe=700, q=1000)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_probe_loop(self, d, m, seed, n_probe, q):
+        spec = RegularPairSpec.random_quadratic(d=d, m=m, seed=seed)
+        X = _ball_points(np.random.Generator(np.random.PCG64(seed + 1)), q, d)
+        # Probes tie with themselves in every row, their mirror images in one
+        # row, and small perturbations of a probe are often beaten by it alone.
+        probes = _ball_points(np.random.Generator(np.random.PCG64(spec.seed ^ 0x9E3779B9)),
+                              n_probe, d)
+        mirrors = [2 * c - probes for c in spec.centers]
+        noise = np.random.Generator(np.random.PCG64(seed)).standard_normal((8, *probes.shape))
+        nudged = (probes + 1e-3 * noise).reshape(-1, d)
+        X = np.vstack([X, probes, nudged, *mirrors])
+        pred = cent0_predicate(spec, n_probe=n_probe)
+        got = pred(X)
+        assert got.dtype == bool
+        assert np.array_equal(got, cent0_loop(spec, n_probe, X))
+        assert pred(X[0]) is bool(pred(X[:1])[0])
 
 
 class TestGeneralDirection:

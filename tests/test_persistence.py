@@ -44,6 +44,75 @@ class TestPairReduction:
         assert creators == [0, 1]
 
 
+def random_columns(rng, n: int, density: float) -> list[int]:
+    """Random boundary-shaped F2 matrix: column j has bits only below j."""
+    return [sum(1 << i for i in range(j) if rng.random() < density) for j in range(n)]
+
+
+def reduced_columns(columns: list[int]) -> list[int]:
+    """Every column after plain left-to-right reduction."""
+    red: list[int] = []
+    owner: dict[int, int] = {}
+    for col in columns:
+        while col and col.bit_length() - 1 in owner:
+            col ^= red[owner[col.bit_length() - 1]]
+        if col:
+            owner[col.bit_length() - 1] = len(red)
+        red.append(col)
+    return red
+
+
+RANDOM_MATRIX = (
+    st.integers(0, 2**32 - 1), st.integers(0, 60), st.sampled_from([0.05, 0.2, 0.5])
+)
+
+
+class TestPairReductionRandom:
+    """pair_reduction on random matrices, against a plain reduction and
+    against itself with a limit or with columns held outside the input."""
+
+    @given(*RANDOM_MATRIX)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_plain_reduction(self, seed, n, density):
+        columns = random_columns(np.random.Generator(np.random.PCG64(seed)), n, density)
+        red = reduced_columns(columns)
+        pairs, creators = pair_reduction(columns)
+        assert pairs == {c.bit_length() - 1: j for j, c in enumerate(red) if c}
+        assert creators == [j for j, c in enumerate(red) if not c]
+
+    @given(*RANDOM_MATRIX)
+    @settings(max_examples=100, deadline=None)
+    def test_limit_gives_the_first_pairs(self, seed, n, density):
+        columns = random_columns(np.random.Generator(np.random.PCG64(seed)), n, density)
+        full, _ = pair_reduction(columns)
+        for q in range(len(full) + 1):
+            pairs, _ = pair_reduction(columns, limit=q)
+            assert list(pairs.items()) == list(full.items())[:q]
+
+    @given(*RANDOM_MATRIX)
+    @settings(max_examples=100, deadline=None)
+    def test_owned_columns_left_out(self, seed, n, density):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        columns = random_columns(rng, n, density)
+        red = reduced_columns(columns)
+        out = {j for j, c in enumerate(red) if c and rng.random() < 0.5}
+        kept = [j for j in range(n) if j not in out]
+        held = {red[j].bit_length() - 1: red[j] for j in out}
+        asked: list[int] = []
+
+        def owned(p):
+            asked.append(p)
+            return held.get(p)
+
+        pairs, creators = pair_reduction([columns[j] for j in kept], owned)
+        full, full_creators = pair_reduction(columns)
+        assert {p: kept[j] for p, j in pairs.items()} == {
+            p: j for p, j in full.items() if j not in out
+        }
+        assert [kept[j] for j in creators] == full_creators
+        assert len(asked) == len(set(asked))  # the pivot table keeps each answer
+
+
 class TestPersistenceIntervals:
     def test_two_vertices_then_edge(self):
         F = Filtration(2, 1, ((0, 0b01), (0, 0b10), (1, 0b11)), 1)
