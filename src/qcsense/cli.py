@@ -77,7 +77,8 @@ def _load_input(path_str: str) -> tuple[DataMatrix, str]:
 
 def _requested_threads(value: int | None) -> int | None:
     """The thread count asked for by --threads or QCSENSE_THREADS; None
-    when neither is given and the pool takes the CPU count."""
+    when neither is given.  Validated and reported, but replicates run
+    one after another whatever it is."""
     if value is not None:
         return max(1, value)
     env = os.environ.get("QCSENSE_THREADS")
@@ -163,7 +164,6 @@ def cmd_subsample(args) -> int:
         args.reps,
         d_up=args.dup,
         seed=args.seed,
-        threads=requested or max(1, os.cpu_count() or 1),
         progress=progress,
     )
     verdict = decide_dimension(res.boxplots)
@@ -192,7 +192,7 @@ def cmd_subsample(args) -> int:
         "reps": args.reps,
         "dup": res.d_up,
         "seed": args.seed,
-        "threads": requested,  # null for the CPU-count default, so reports match across machines
+        "threads": requested,  # null when none was given, so reports match across machines
     }
     report = _report("subsample", params, digest, args.seed, result, matrix.warnings)
     return _emit(report, args.output, args.strict)

@@ -10,6 +10,19 @@ filtration whose grades live on the 1/n grid.
 Complexes are stored as bitmasks over the row set: bit (i-1) set means row
 i is a vertex of the face.  Row and column labels are 1-based throughout
 the public surface.
+
+Births.  A face sigma enters the ray filtration of column a at grade
+numerator max_i ord_i(a) - g, where the gap g = max_b min_{i in sigma}
+(ord_i(a) - ord_i(b)) is the largest down-diagonal slide of a's rank
+vector that some column b still sits under on sigma.  `subset_gaps`
+computes every gap of a block of columns at once, against a possibly
+different table (the interleaving distance reads the same gaps between
+two tables).  The max needs only C, the columns no other column beats
+in every row.  Faces of size 1 and 2 have closed forms: a row minimum,
+and the crossing point on a 2-D staircase.  A larger face takes the gap
+of its youngest facet whenever that facet's witness column also covers
+the one added row; only the (face, column) cells where it does not are
+scanned over C.  `ray_births` is the same computation for one column.
 """
 
 from __future__ import annotations
@@ -27,8 +40,12 @@ from .ingest import OrderTable
 
 MAX_ROWS = 64  # bitmask capacity; one machine word
 
-# Source columns per subset_gaps block: bounds the block x |C| prefix minima.
+# Source columns per subset_gaps block, the (face, column) cells per
+# certificate chunk and the (face, column of C) cells per fallback scan
+# chunk: together they bound the scratch of subset_gaps.
 BLOCK = 128
+CELLS = 8192
+SCAN_CELLS = 32768
 
 GRID_SNAP = 1e-9  # rescue k/n thresholds from float round-off
 
@@ -299,6 +316,100 @@ def subset_tables(m: int, max_size: int):
     return tuple(masks), tuple(verts), sizes, facets, tiebreak
 
 
+@lru_cache(maxsize=None)
+def _size_tables(m: int, max_size: int):
+    """The faces of subset_tables(m, max_size) grouped by size: a list of
+    (faces, facets, verts) per size 1, 2, ..., where faces holds the
+    subset_tables indices of that size's faces, verts[r] the vertices of
+    face faces[r] and facets[r, t] the index of its facet without
+    verts[r, t]."""
+    _, verts, sizes, facet_idx, _ = subset_tables(m, max_size)
+    out = []
+    for s in range(1, int(sizes.max()) + 1):
+        faces = np.flatnonzero(sizes == s)
+        out.append((faces,
+                    np.array([facet_idx[k] for k in faces], dtype=np.intp).reshape(-1, s),
+                    np.array([verts[k] for k in faces], dtype=np.intp).reshape(-1, s)))
+    return out
+
+
+def _staircases(front: np.ndarray, pairs: np.ndarray):
+    """The lower-left staircase of each row pair (i, j) of front, laid end
+    to end: per pair the columns b whose point (front[i, b], front[j, b])
+    no other column weakly beats in both rows, by ascending front[i, b].
+    Along a staircase p = front[i] rises strictly and q = front[j] falls
+    strictly, so p - q rises strictly.
+
+    Returns (key, p, q, col, first, end, lo, span): pair r's steps sit at
+    first[r] .. end[r]-1, col holds their columns, and key is p - q - lo
+    + r*span, ascending over the whole array (lo and span are set so that
+    every p - q lies in [lo + 1, lo + span - 1])."""
+    parts = []
+    for i, j in pairs.tolist():
+        order = np.lexsort((front[j], front[i]))
+        q = front[j, order]
+        keep = np.ones(len(q), dtype=bool)
+        keep[1:] = q[1:] < np.minimum.accumulate(q)[:-1]
+        parts.append(order[keep])
+    col = np.concatenate(parts)
+    lengths = np.array([len(c) for c in parts])
+    end = np.cumsum(lengths)
+    owner = np.repeat(np.arange(len(parts)), lengths)
+    p = front[pairs[owner, 0], col]
+    q = front[pairs[owner, 1], col]
+    d = p.astype(np.int64) - q
+    lo = int(d.min()) - 1
+    span = int(d.max()) - lo + 1
+    return d - lo + owner * span, p, q, col, end - lengths, end, lo, span
+
+
+def _pair_gaps(block, verts, pair, stairs):
+    """(gaps, witnesses) of the size-2 faces with vertex pairs verts
+    against every column of block; pair indexes their staircases in
+    stairs, the output of `_staircases` (see `subset_gaps`)."""
+    key, p, q, col, first, end, lo, span = stairs
+    x, y = block[verts[:, 0]], block[verts[:, 1]]
+    e = x.astype(np.int64)
+    e -= y
+    np.clip(e, lo, lo + span - 1, out=e)
+    e += pair[:, None] * span - lo
+    k = np.searchsorted(key, e, side="right")  # the first step with p - q > x - y
+    del e
+    use_rise = k > first[pair, None]  # a step before the crossing exists
+    has_after = k < end[pair, None]
+    k -= 1  # the step before: min(x - p, y - q) = y - q there
+    rise = y - q[k]
+    k += has_after  # the step after, where min(x - p, y - q) = x - p
+    fall = x - p[k]
+    use_rise &= ~has_after | (rise >= fall)
+    k -= use_rise & has_after
+    return np.where(use_rise, rise, fall), col[k]
+
+
+def _scan(x: np.ndarray, rows: np.ndarray, front: np.ndarray):
+    """(gap, witness) of each row of (x, rows): gap[r] is the max over
+    the columns b of front of min_t (x[r, t] - front[rows[r, t], b]), and
+    witness[r] the first column attaining it.  The full scan behind every
+    certificate that fails, SCAN_CELLS (row, column) cells at a time, in
+    front's dtype, which must hold x - front."""
+    n_rows, size = rows.shape
+    gap = np.empty(n_rows, dtype=front.dtype)
+    witness = np.empty(n_rows, dtype=np.intp)
+    step = max(1, SCAN_CELLS // front.shape[1])
+    for r0 in range(0, n_rows, step):
+        r = slice(r0, r0 + step)
+        acc = np.take(front, rows[r, 0], axis=0)
+        np.subtract(x[r, :1], acc, out=acc)
+        buf = np.empty_like(acc)
+        for t in range(1, size):
+            np.take(front, rows[r, t], axis=0, out=buf)
+            np.subtract(x[r, t, None], buf, out=buf)
+            np.minimum(acc, buf, out=acc)
+        witness[r] = acc.argmax(axis=1)
+        gap[r] = acc[np.arange(len(acc)), witness[r]]
+    return gap, witness
+
+
 def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
     """Yield (column_range, gaps) blocks over the columns a of src:
     gaps[k, j] = max_b min_{i in sigma_k} (src[i, a] - dst[i, b]) for the
@@ -306,25 +417,95 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
 
     The max runs over C, the columns of dst that no other column strictly
     beats in every row.  Any b outside C is beaten in all m rows, hence on
-    sigma, by some b* in C, whose min is larger: the max over C equals the
-    max over all columns of dst.  Minima follow each subset's vertex
-    prefix in the dtype of src - dst; gaps are at least int32, so a caller
-    may rewrite them in place.
+    sigma, by some b' in C, and src[i, a] - dst[i, b'] is larger in every
+    row whatever src is: the max over C equals the max over all columns
+    of dst, for src = dst and src != dst alike.  Beside each gap the loop
+    keeps a witness, a column of C attaining it, and it fills the faces
+    by size:
+
+    - size 1: the gap of {v} is src[v, a] - min_b dst[v, b], witnessed by
+      the column of that minimum;
+    - size 2: for sigma = {i, j} only the lower-left staircase of the
+      points (dst[i, b], dst[j, b]) matters (`_staircases`).  Along it
+      x - p_b falls and y - q_b rises (x = src[i, a], y = src[j, a]), so
+      min(x - p_b, y - q_b) peaks where they cross: one searchsorted of
+      x - y in the rising p - q finds the first step with p - q > x - y,
+      and the better of that step and the one before is the gap;
+    - size >= 3, the certificate: gaps are monotone, g_tau <= g_f for
+      every facet f of tau, so g_tau <= v, the least facet gap.  Let f be
+      a facet with g_f = v (the youngest), b* its witness and w the
+      vertex of tau outside f.  At b* the min over tau is min(v, src[w, a]
+      - dst[w, b*]).  If src[w, a] - dst[w, b*] >= v that min is v, so
+      g_tau >= v: then g_tau = v and b* witnesses tau.  Otherwise `_scan`
+      runs the full max over C for that (face, column) alone, and its
+      first argmax is the witness.  Any argmax serves: the proof only
+      needs min over f at b* to equal g_f.
+
+    The certificate costs a few gathers per cell against |sigma| |C| for
+    the scan.  CELLS bounds the (face, column) cells handled at once and
+    SCAN_CELLS the scan's (face, column of C) cells.  Differences are
+    taken in the dtype of src - dst; gaps come out at least int32, so a
+    caller may rewrite them in place.
     """
     m, n = src.shape
-    _, verts, _, _, _ = subset_tables(m, max_size)
-    front = dst[:, undominated_columns(dst)]
+    S = len(subset_tables(m, max_size)[0])
+    groups = _size_tables(m, max_size)
+    work = np.result_type(src, dst)  # holds every difference src - dst
+    front = dst[:, undominated_columns(dst)].astype(work)
+    wit_type = np.int16 if front.shape[1] < 2**15 else np.int32
+    low_at = front.argmin(axis=1)
+    low = front[np.arange(m), low_at]
+    if len(groups) > 1:
+        stairs = _staircases(front, groups[1][2])
+    width = front.shape[1]
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
-        gaps = np.empty((len(verts), stop - start), dtype=np.result_type(src, dst, np.int32))
-        stack: list[np.ndarray] = []
-        for k, vs in enumerate(verts):
-            row = src[vs[-1], start:stop, None] - front[vs[-1]]
-            stack = stack[: len(vs) - 1]
-            stack.append(np.minimum(stack[-1], row) if stack else row)
-            gaps[k] = stack[-1].max(axis=1)
-        del stack  # free the prefix minima while the caller works on the block
-        yield range(start, stop), gaps
+        block = np.ascontiguousarray(src[:, start:stop])
+        B = stop - start
+        columns = np.arange(B)
+        gaps = np.empty((S, B), dtype=work)
+        wit = np.empty((S, B), dtype=wit_type)
+        faces = groups[0][0]
+        gaps[faces] = block - low[:, None]
+        wit[faces] = low_at[:, None]
+        step = max(1, CELLS // B)
+        for size, (faces, facets, verts) in enumerate(groups[1:], start=2):
+            for r0 in range(0, len(faces), step):
+                r = slice(r0, r0 + step)
+                if size == 2:
+                    gaps[faces[r]], wit[faces[r]] = _pair_gaps(
+                        block, verts[r], np.arange(r0, r0 + len(verts[r])), stairs)
+                    continue
+                v = gaps[facets[r, 0]]
+                b = wit[facets[r, 0]]
+                w = np.empty(v.shape, dtype=np.int8)
+                w[:] = verts[r, :1]
+                for t in range(1, size):
+                    g = gaps[facets[r, t]]
+                    younger = g < v
+                    np.copyto(v, g, where=younger)
+                    np.copyto(b, wit[facets[r, t]], where=younger)
+                    np.copyto(w, verts[r, t, None], where=younger)
+                at = w.astype(np.intp)  # flat indices into front, then into block
+                at *= width
+                at += b
+                slack = front.take(at)
+                at[...] = w
+                at *= B
+                at += columns
+                slack = np.subtract(block.take(at), slack, out=slack)
+                del at
+                cells = np.flatnonzero(slack < v)
+                if cells.size:
+                    rr, j = np.divmod(cells, B)
+                    rows = verts[r][rr]
+                    v.flat[cells], b.flat[cells] = _scan(
+                        block[rows, j[:, None]], rows, front)
+                gaps[faces[r]], wit[faces[r]] = v, b
+        del wit
+        out = gaps.astype(np.result_type(work, np.int32), copy=False)
+        del gaps  # keep only the returned block while the caller works on it
+        yield range(start, stop), out
 
 
 def ray_births(T: OrderTable, a: int, max_size: int) -> tuple[np.ndarray, int]:
@@ -333,26 +514,14 @@ def ray_births(T: OrderTable, a: int, max_size: int) -> tuple[np.ndarray, int]:
 
     A subset sigma first appears at grade t_end - g/n where g is the
     largest integer such that some column b satisfies
-    ord_i(b) <= ord_i(a) - g for every row i in sigma.
+    ord_i(b) <= ord_i(a) - g for every row i in sigma: the gap of
+    `subset_gaps` for the one anchor a.
     """
     if not (1 <= a <= T.n):
         raise ValueError(f"column {a} out of range [1..{T.n}]")
-    masks, verts, _, _, _ = subset_tables(T.m, max_size)
-    col = T.ord[:, a - 1]
-    tmax = int(col.max())
-    D = col[:, None] - T.ord  # D[i, b] = ord_i(a) - ord_i(b)
-    births = np.empty(len(masks), dtype=np.int64)
-    stack: list[np.ndarray] = []
-    for k, vs in enumerate(verts):
-        depth = len(vs)
-        row = D[vs[-1]]
-        if depth == 1:
-            stack = [row]
-        else:
-            stack = stack[: depth - 1]
-            stack.append(np.minimum(stack[depth - 2], row))
-        births[k] = tmax - int(stack[-1].max())
-    return births, tmax
+    tmax = int(T.ord[:, a - 1].max())
+    (_, gaps), = subset_gaps(T.ord[:, [a - 1]], T.ord, max_size)
+    return tmax - gaps[:, 0], tmax
 
 
 def ray_filtration(T: OrderTable, a: int, skeleton: int | None = None) -> Filtration:

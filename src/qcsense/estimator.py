@@ -13,8 +13,6 @@ leave open go through the F2 reduction (see `_block_lengths`).
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -154,10 +152,11 @@ def _subset_births_blocks(ord_arr: np.ndarray, max_size: int):
     """
     tmax = ord_arr.max(axis=0).astype(np.int32)
     # Rank differences lie in (-n, n): int16 halves the memory traffic of
-    # the prefix minima, which bounds the cost of this loop on large blocks.
+    # the fallback scans and keeps the witness columns small.
     ranks = ord_arr.astype(np.int16 if ord_arr.shape[1] < 2**15 else np.int32)
     for cols, gaps in subset_gaps(ranks, ranks, max_size):
         yield cols, np.subtract(tmax[cols.start : cols.stop], gaps, out=gaps)
+        del gaps  # no block outlives its use while the next one is built
 
 
 @lru_cache(maxsize=None)
@@ -337,6 +336,7 @@ def _lk_from_order(ord_arr: np.ndarray, d_up: int) -> tuple[np.ndarray, np.ndarr
     for cols, births in _subset_births_blocks(ord_arr, max_size):
         block = slice(cols.start, cols.stop)
         _block_lengths(births, tmax[block], m, max_size, per_column[block])
+        del births
     return per_column.max(axis=0), per_column
 
 
@@ -383,23 +383,13 @@ def d_hat_low(P: LkProfile, epsilon: float) -> EstimateResult:
     return EstimateResult(1 + max(qualifying), tuple(flags))
 
 
-def _run_replicates(tasks, worker, threads: int, progress=None) -> list:
-    lock = threading.Lock()
-    done = 0
-
-    def counted(t):
-        nonlocal done
-        result = worker(t)
+def _run_replicates(tasks, worker, progress=None) -> list:
+    rows = []
+    for t in tasks:
+        rows.append(worker(t))
         if progress is not None:
-            with lock:
-                done += 1
-                progress(done, len(tasks))
-        return result
-
-    if threads <= 1:
-        return list(map(counted, tasks))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(counted, tasks))
+            progress(len(rows), len(tasks))
+    return rows
 
 
 def subsample_points(
@@ -415,8 +405,9 @@ def subsample_points(
 
     Columns are drawn uniformly without replacement; each submatrix is
     re-ranked on its own n_s-point grid.  Draws are made sequentially from
-    a PCG64 stream, so results are bit-reproducible for a given seed and
-    independent of the worker count.
+    a PCG64 stream, so results are bit-reproducible for a given seed.
+    Replicates run one after another; `threads` is accepted for
+    compatibility and changes nothing (a thread pool measured slower).
     """
     if not (1 <= n_s <= M.n):
         raise ValueError(f"subsample size {n_s} outside [1..{M.n}]")
@@ -433,7 +424,7 @@ def subsample_points(
         L_num, _ = _lk_from_order(T.ord, d_up)
         return L_num / float(n_s)
 
-    rows = _run_replicates(draws, worker, threads, progress)
+    rows = _run_replicates(draws, worker, progress)
     return _summarize(np.vstack(rows), "points", d_up, n_s, reps, seed)
 
 
@@ -449,7 +440,8 @@ def subsample_functions(
     """L-vectors of `reps` random m_s-row submatrices.
 
     Dropping rows leaves the surviving rows' orders untouched, so ranks
-    are computed once and subset per replicate.
+    are computed once and subset per replicate.  `threads` changes
+    nothing, as in `subsample_points`.
     """
     if not (1 <= m_s <= M.m):
         raise ValueError(f"subsample size {m_s} outside [1..{M.m}]")
@@ -465,7 +457,7 @@ def subsample_functions(
         L_num, _ = _lk_from_order(T.ord[idx], d_up)
         return L_num / float(M.n)
 
-    rows = _run_replicates(draws, worker, threads, progress)
+    rows = _run_replicates(draws, worker, progress)
     return _summarize(np.vstack(rows), "functions", d_up, m_s, reps, seed)
 
 

@@ -74,10 +74,7 @@ class DataMatrix:
             raise IngestError(f"expected a 2-d array, got shape {v.shape}")
         if v.shape[0] < 1 or v.shape[1] < 1:
             raise IngestError(f"matrix must be at least 1x1, got {v.shape}")
-        bad = ~np.isfinite(v)
-        if bad.any():
-            i, a = np.argwhere(bad)[0]
-            raise NonFiniteError(int(i) + 1, int(a) + 1, float(v[i, a]))
+        _check_finite(v)
         if check_ties:
             for i in range(v.shape[0]):
                 row = np.sort(v[i])
@@ -184,25 +181,18 @@ def load_matrix(
         lines = lines[1:]
     if not lines:
         raise IngestError("empty input")
-    rows: list[list[float]] = []
-    width = None
+    width = lines[0].count(",") + 1
+    values = np.empty((len(lines), width), dtype=np.float64)
     for i, ln in enumerate(lines, start=1):
         fields = ln.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
+        if len(fields) != width:
+            _check_finite(values[: i - 1])  # an earlier non-finite value is the first error
             raise RaggedRowsError(i, width, len(fields))
-        parsed = []
-        for a, tok in enumerate(fields, start=1):
-            try:
-                x = float(tok)
-            except ValueError:
-                raise NonNumericFieldError(i, a, tok.strip()) from None
-            if not np.isfinite(x):
-                raise NonFiniteError(i, a, x)
-            parsed.append(x)
-        rows.append(parsed)
-    values = np.array(rows, dtype=np.float64)
+        try:
+            values[i - 1] = list(map(float, fields))
+        except ValueError:
+            _check_finite(values[: i - 1])
+            _rescan(i, fields)
 
     warnings: tuple[str, ...] = ()
     if tie_policy == "break-by-column-index":
@@ -218,6 +208,26 @@ def load_matrix(
             )
     check = tie_policy == "reject"
     return DataMatrix(values, warnings=warnings, check_ties=check)
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """NonFiniteError names the first non-finite value in reading order."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i, a = np.argwhere(bad)[0]
+        raise NonFiniteError(int(i) + 1, int(a) + 1, float(values[i, a]))
+
+
+def _rescan(row: int, fields: list[str]) -> None:
+    """Raise the error for the first bad token of a line that failed to
+    parse as a whole."""
+    for a, tok in enumerate(fields, start=1):
+        try:
+            x = float(tok)
+        except ValueError:
+            raise NonNumericFieldError(row, a, tok.strip()) from None
+        if not np.isfinite(x):
+            raise NonFiniteError(row, a, x)
 
 
 def order_table(M: DataMatrix) -> OrderTable:

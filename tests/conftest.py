@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qcsense import DataMatrix, load_matrix, order_table
+from qcsense.dowker import BLOCK, subset_tables
 
 # 2x4 worked example: row order sequences (3,4,2,1) and (2,1,3,4).
 EXAMPLE_CSV = "8.23,4.19,2.56,3.96\n4.78,2.88,5.76,13.43\n"
@@ -36,6 +37,25 @@ def random_order_table(rng, m: int, n: int, ties: bool):
         vals = rng.integers(0, 4, size=(m, n)).astype(float)
         return order_table(DataMatrix(vals, check_ties=False))
     return order_table(random_tie_free_matrix(rng, m, n))
+
+
+def prefix_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
+    """Oracle for `dowker.subset_gaps`, same blocks and dtype: each face's
+    min over its rows for every column of dst (not only the front), by
+    prefix minima along the subset enumeration (each face extends the
+    face before it by one vertex, or backs up), then the max."""
+    m, n = src.shape
+    _, verts, _, _, _ = subset_tables(m, max_size)
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        gaps = np.empty((len(verts), stop - start), dtype=np.result_type(src, dst, np.int32))
+        stack: list[np.ndarray] = []
+        for k, vs in enumerate(verts):
+            row = src[vs[-1], start:stop, None] - dst[vs[-1]]
+            stack = stack[: len(vs) - 1]
+            stack.append(np.minimum(stack[-1], row) if stack else row)
+            gaps[k] = stack[-1].max(axis=1)
+        yield range(start, stop), gaps
 
 
 # Acceptance tests register one human-readable verdict line each; the

@@ -23,6 +23,7 @@ from qcsense import (
     compute_Lk,
     decide_dimension,
     discretized_central_region,
+    dowker,
     hull_membership,
     interleaving_distance,
     load_matrix,
@@ -333,3 +334,26 @@ def test_criterion_10_column_count_scaling():
         ratio = t400 / t200
         c["ok"] = 1.5 <= ratio <= 3.0
         c["detail"] = f"t(200)={t200:.3f}s t(400)={t400:.3f}s ratio={ratio:.2f}"
+
+
+def test_certificate_fallbacks_scale_with_columns(monkeypatch):
+    # Beside criterion 10, on its own matrices, with counts in place of
+    # timings: the (face, column) cells whose births need the full scan
+    # over the front, at n=400 against n=200.  Machine speed cannot move
+    # these counts, so a scaling regression in births shows here first.
+    rng = np.random.Generator(np.random.PCG64(1))
+    M400 = DataMatrix(rng.random((10, 400)))
+    M200 = DataMatrix(M400.values[:, :200])
+    scan = dowker._scan
+    scanned = []
+
+    def counting(x, rows, front):
+        scanned[-1] += len(rows)
+        return scan(x, rows, front)
+
+    monkeypatch.setattr(dowker, "_scan", counting)
+    for M in (M200, M400):
+        scanned.append(0)
+        compute_Lk(M, d_up=3)
+    assert scanned[0] > 0
+    assert scanned[1] / scanned[0] <= 3.0, f"fallback cells {scanned}"

@@ -18,7 +18,11 @@ from qcsense import (
     order_table,
     ray_filtration,
 )
-from qcsense.dowker import MAX_ROWS, subset_tables
+from qcsense import dowker
+from qcsense.central import undominated_columns
+from qcsense.dowker import BLOCK, MAX_ROWS, subset_gaps, subset_tables
+
+from conftest import prefix_gaps, random_order_table
 
 
 @pytest.fixture
@@ -217,3 +221,101 @@ class TestSubsetTables:
         masks, _, sizes, _, _ = subset_tables(4, 2)
         assert max(sizes) == 2
         assert len(masks) == 4 + 6
+
+
+# Column counts at and around the subset_gaps block edges.
+EDGE_COLUMNS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
+KINDS = ("tie-free", "tied", "repeats")
+DTYPES = ("int16", "int32", "int64", "scaled")
+
+
+def _gap_table(rng, m: int, n: int, kind: str) -> np.ndarray:
+    """Ranks of a tie-free or a tied matrix, or raw values from four
+    levels, so that rows repeat entries and 2-D staircases tie."""
+    if kind == "repeats":
+        return rng.integers(1, 5, size=(m, n))
+    return random_order_table(rng, m, n, ties=kind == "tied").ord
+
+
+def _gap_inputs(rng, m, n, n_dst, kind, dtype):
+    """(src, dst); dst is src itself when n_dst is None.  'scaled'
+    multiplies the ranks into int64 past 2**30, as interleave does when
+    the merged grid is that fine."""
+    src = _gap_table(rng, m, n, kind)
+    dst = src if n_dst is None else _gap_table(rng, m, n_dst, kind)
+    if dtype != "scaled":
+        return src.astype(dtype), dst.astype(dtype)
+    alpha, beta = (int(rng.integers(2**31 // k, 2**32 // k)) for k in (n, dst.shape[1]))
+    return src.astype(np.int64) * alpha, dst.astype(np.int64) * beta
+
+
+def _assert_gaps_match(src, dst, max_size):
+    got = list(subset_gaps(src, dst, max_size))
+    want = list(prefix_gaps(src, dst, max_size))
+    assert [c for c, _ in got] == [c for c, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+class TestSubsetGaps:
+    @given(st.integers(1, 10), st.one_of(st.sampled_from(EDGE_COLUMNS), st.integers(1, 300)),
+           st.one_of(st.none(), st.integers(1, 300)), st.sampled_from(KINDS),
+           st.sampled_from(DTYPES), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_prefix_oracle(self, m, n, n_dst, kind, dtype, seed, data):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        src, dst = _gap_inputs(rng, m, n, n_dst, kind, dtype)
+        _assert_gaps_match(src, dst, data.draw(st.integers(1, m)))
+
+    @pytest.mark.parametrize("i", range(len(EDGE_COLUMNS)))
+    def test_every_max_size_at_ten_rows(self, i):
+        n = EDGE_COLUMNS[i]
+        rng = np.random.Generator(np.random.PCG64(n))
+        n_dst = None if i % 2 else n + 37
+        src, dst = _gap_inputs(rng, 10, n, n_dst, KINDS[i % len(KINDS)], "int16")
+        for max_size in range(1, 11):
+            _assert_gaps_match(src, dst, max_size)
+
+    @given(st.integers(3, 6), st.integers(1, 40), st.one_of(st.none(), st.integers(1, 40)),
+           st.sampled_from(KINDS), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_scans_only_where_the_certificate_can_fail(self, m, n, n_dst, kind, seed, data):
+        # A (face, column) cell of size >= 3 certifies from its youngest
+        # facet's witness.  Whatever facet and witness the kernel picks
+        # among the equally good ones, it must scan every cell where all
+        # choices fail and no cell where all choices succeed.
+        rng = np.random.Generator(np.random.PCG64(seed))
+        src, dst = _gap_inputs(rng, m, n, n_dst, kind, "int64")
+        max_size = data.draw(st.integers(3, m))
+        scanned = []
+        scan = dowker._scan
+
+        def counting(x, rows, front):
+            scanned.append(len(rows))
+            return scan(x, rows, front)
+
+        dowker._scan = counting
+        try:
+            gaps = np.hstack([g for _, g in subset_gaps(src, dst, max_size)])
+        finally:
+            dowker._scan = scan
+        _, verts, _, facets, _ = subset_tables(m, max_size)
+        front = dst[:, undominated_columns(dst)]
+        mins = [(src[list(vs), :, None] - front[list(vs), None, :]).min(axis=0) for vs in verts]
+        must_scan = must_certify = cells = 0
+        for k, vs in enumerate(verts):
+            if len(vs) < 3:
+                continue
+            v = gaps[list(facets[k])].min(axis=0)[:, None]
+            can_pass = np.zeros(n, dtype=bool)
+            can_fail = np.zeros(n, dtype=bool)
+            for w, f in zip(vs, facets[k]):
+                choice = (gaps[f][:, None] == v) & (mins[f] == v)  # youngest facet, a witness
+                passes = src[w][:, None] - front[w] >= v
+                can_pass |= (choice & passes).any(axis=1)
+                can_fail |= (choice & ~passes).any(axis=1)
+            must_scan += int((~can_pass).sum())
+            must_certify += int((~can_fail).sum())
+            cells += n
+        assert must_scan <= sum(scanned) <= cells - must_certify

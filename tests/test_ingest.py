@@ -63,6 +63,39 @@ class TestLoadMatrix:
         with pytest.raises(NonFiniteError):
             load_matrix("nan,1.0\n")
 
+    def test_late_bad_field_names_its_row_and_column(self):
+        lines = [",".join(repr(i * 10.0 + a) for a in range(6)) for i in range(40)]
+
+        def load_with(i, a, tok):
+            bad = list(lines)
+            fields = bad[i - 1].split(",")
+            fields[a - 1] = tok
+            bad[i - 1] = ",".join(fields)
+            return load_matrix("\n".join(bad) + "\n")
+
+        with pytest.raises(NonNumericFieldError) as err:
+            load_with(38, 4, " x7 ")
+        assert (err.value.row, err.value.col, err.value.text) == (38, 4, "x7")
+        assert "row 38, column 4" in str(err.value)
+        with pytest.raises(NonFiniteError) as err:
+            load_with(30, 6, "-inf")
+        assert (err.value.row, err.value.col) == (30, 6)
+        with pytest.raises(RaggedRowsError) as err:
+            load_with(39, 2, "1.5,2.5")
+        assert (err.value.row, err.value.got) == (39, 7)
+
+    def test_first_bad_field_in_reading_order_wins(self):
+        # a non-finite value is reported before a later unparsable or
+        # ragged line, and before a later bad token on its own line
+        with pytest.raises(NonFiniteError, match="row 2, column 3"):
+            load_matrix("1,2,3\n4,5,nan\n7,oops,9\n")
+        with pytest.raises(NonFiniteError, match="row 2, column 3"):
+            load_matrix("1,2,3\n4,5,inf\n7,8\n")
+        with pytest.raises(NonFiniteError, match="row 2, column 1"):
+            load_matrix("1,2,3\ninf,oops,6\n")
+        with pytest.raises(NonNumericFieldError, match="row 2, column 1"):
+            load_matrix("1,2,3\noops,inf,6\n")
+
     def test_ties_rejected_by_default(self):
         with pytest.raises(DuplicateInRowError, match="row 1"):
             load_matrix("1.0,1.0\n2.0,3.0\n")
