@@ -17,12 +17,9 @@ from .ingest import (
     order_table,
 )
 from .dowker import (
-    GradeVector,
     SimplicialComplex,
     Filtration,
     dowker_at,
-    dowker_at_nerve,
-    hat_R_n,
     ray_filtration,
 )
 from .persistence import (
@@ -31,7 +28,6 @@ from .persistence import (
     MaxLengths,
     persistence_intervals,
     max_lengths,
-    betti_numbers_by_elimination,
 )
 from .estimator import (
     LkProfile,
@@ -83,19 +79,15 @@ __all__ = [
     "RaggedRowsError",
     "load_matrix",
     "order_table",
-    "GradeVector",
     "SimplicialComplex",
     "Filtration",
     "dowker_at",
-    "dowker_at_nerve",
-    "hat_R_n",
     "ray_filtration",
     "PersistenceDiagram",
     "PersistenceInterval",
     "MaxLengths",
     "persistence_intervals",
     "max_lengths",
-    "betti_numbers_by_elimination",
     "LkProfile",
     "BoxplotSummary",
     "SubsampleResult",

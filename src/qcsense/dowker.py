@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Sequence, Union
+from itertools import accumulate, combinations
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -282,55 +282,68 @@ class Filtration:
         return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None)
-def subset_tables(m: int, max_size: int):
-    """Enumerate nonempty subsets of [m] up to max_size vertices.
+class FaceTables(NamedTuple):
+    """The nonempty subsets of [m] with at most max_size vertices, numbered
+    by size and then by lexicographic vertex order.  That index is the
+    tie-break between faces born at the same grade: a stable sort of a
+    birth array is the filtration order.
 
-    Returns (masks, verts, sizes, facets, tiebreak) where facets[k] indexes
-    the size-1 subfaces of subset k within the same enumeration and
-    tiebreak ranks subsets by (size, vertex order) for deterministic
-    same-grade ordering.
+    Face k has bitmask masks[k] and ascending 0-based vertices verts[k].
+    The faces of size s are start[s] .. start[s+1]-1, so face k < m is
+    vertex k, and every facet indexes below its face.  The padded tables
+    are column-major, so each slot is contiguous, and a row shorter than
+    the width repeats its last entry, which changes no max or min over a
+    slot and no bit set from a row:
+
+    - vertex_table[k, t] = verts[k][t];
+    - facet_table[k - m, t] is the facet of face k >= m without vertex
+      verts[k][t];
+    - cofacet_table[k] lists the cofacets of face k < start[max_size].
     """
-    masks: list[int] = []
-    verts: list[tuple[int, ...]] = []
 
-    def rec(prefix: tuple[int, ...], mask: int, start: int):
-        for v in range(start, m):
-            cur = prefix + (v,)
-            cm = mask | (1 << v)
-            masks.append(cm)
-            verts.append(cur)
-            if len(cur) < max_size:
-                rec(cur, cm, v + 1)
+    m: int
+    max_size: int
+    masks: tuple[int, ...]
+    verts: tuple[tuple[int, ...], ...]
+    start: list[int]
+    vertex_table: np.ndarray
+    facet_table: np.ndarray
+    cofacet_table: np.ndarray
 
-    rec((), 0, 0)
-    sizes = np.array([len(v) for v in verts], dtype=np.int64)
-    index = {mk: k for k, mk in enumerate(masks)}
-    facets = tuple(
-        tuple(index[mk & ~(1 << v)] for v in vs) if len(vs) > 1 else ()
-        for mk, vs in zip(masks, verts)
-    )
-    order = sorted(range(len(masks)), key=lambda k: (len(verts[k]), verts[k]))
-    tiebreak = np.empty(len(masks), dtype=np.int64)
-    tiebreak[order] = np.arange(len(masks), dtype=np.int64)
-    return tuple(masks), tuple(verts), sizes, facets, tiebreak
+
+def _padded(parts: list[np.ndarray], width: int) -> np.ndarray:
+    rows = [np.pad(p, ((0, 0), (0, width - p.shape[1])), mode="edge") for p in parts]
+    return np.asfortranarray(np.vstack(rows) if rows else np.empty((0, width), dtype=np.intp))
 
 
 @lru_cache(maxsize=None)
-def _size_tables(m: int, max_size: int):
-    """The faces of subset_tables(m, max_size) grouped by size: a list of
-    (faces, facets, verts) per size 1, 2, ..., where faces holds the
-    subset_tables indices of that size's faces, verts[r] the vertices of
-    face faces[r] and facets[r, t] the index of its facet without
-    verts[r, t]."""
-    _, verts, sizes, facet_idx, _ = subset_tables(m, max_size)
-    out = []
-    for s in range(1, int(sizes.max()) + 1):
-        faces = np.flatnonzero(sizes == s)
-        out.append((faces,
-                    np.array([facet_idx[k] for k in faces], dtype=np.intp).reshape(-1, s),
-                    np.array([verts[k] for k in faces], dtype=np.intp).reshape(-1, s)))
-    return out
+def subset_tables(m: int, max_size: int) -> FaceTables:
+    """The FaceTables of the subsets of [m] up to min(max_size, m)
+    vertices, built once per (m, max_size) for every kernel that walks
+    the faces."""
+    max_size = min(max_size, m)
+    verts = tuple(c for s in range(1, max_size + 1) for c in combinations(range(m), s))
+    masks = tuple(sum(1 << v for v in vs) for vs in verts)
+    start = [0, 0, *accumulate(math.comb(m, s) for s in range(1, max_size + 1))]
+    by_size = [np.array(verts[start[s] : start[s + 1]], dtype=np.intp).reshape(-1, s)
+               for s in range(1, max_size + 1)]
+    binom = np.array([[math.comb(i, j) for j in range(max_size + 1)] for i in range(m)],
+                     dtype=np.intp)
+
+    def index(rows: np.ndarray) -> np.ndarray:
+        # the lexicographic rank of an ascending s-subset c of [m] is
+        # C(m, s) - 1 - sum_t C(m-1-c_t, s-t)
+        s = rows.shape[1]
+        return start[s] + math.comb(m, s) - 1 - binom[m - 1 - rows, np.arange(s, 0, -1)].sum(axis=1)
+
+    facets = [np.stack([index(np.delete(rows, t, axis=1)) for t in range(s)], axis=1)
+              for s, rows in enumerate(by_size[1:], start=2)]
+    # face k of size s is the facet of m - s cofacets: group the facet
+    # table's entries by facet
+    cofacets = [start[s + 1] + np.argsort(f, axis=None, kind="stable").reshape(-1, m - s) // (s + 1)
+                for s, f in enumerate(facets, start=1)]
+    return FaceTables(m, max_size, masks, verts, start, _padded(by_size, max_size),
+                      _padded(facets, max_size), _padded(cofacets, m - 1))
 
 
 def _staircases(front: np.ndarray, pairs: np.ndarray):
@@ -448,44 +461,44 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
     caller may rewrite them in place.
     """
     m, n = src.shape
-    S = len(subset_tables(m, max_size)[0])
-    groups = _size_tables(m, max_size)
+    faces = subset_tables(m, max_size)
+    start = faces.start
     work = np.result_type(src, dst)  # holds every difference src - dst
     front = dst[:, undominated_columns(dst)].astype(work)
     wit_type = np.int16 if front.shape[1] < 2**15 else np.int32
     low_at = front.argmin(axis=1)
     low = front[np.arange(m), low_at]
-    if len(groups) > 1:
-        stairs = _staircases(front, groups[1][2])
+    if faces.max_size > 1:
+        stairs = _staircases(front, faces.vertex_table[m : start[3], :2])
     width = front.shape[1]
-    for start in range(0, n, BLOCK):
-        stop = min(start + BLOCK, n)
-        block = np.ascontiguousarray(src[:, start:stop])
-        B = stop - start
+    for first in range(0, n, BLOCK):
+        stop = min(first + BLOCK, n)
+        block = np.ascontiguousarray(src[:, first:stop])
+        B = stop - first
         columns = np.arange(B)
-        gaps = np.empty((S, B), dtype=work)
-        wit = np.empty((S, B), dtype=wit_type)
-        faces = groups[0][0]
-        gaps[faces] = block - low[:, None]
-        wit[faces] = low_at[:, None]
+        gaps = np.empty((start[-1], B), dtype=work)
+        wit = np.empty((start[-1], B), dtype=wit_type)
+        gaps[:m] = block - low[:, None]
+        wit[:m] = low_at[:, None]
         step = max(1, CELLS // B)
-        for size, (faces, facets, verts) in enumerate(groups[1:], start=2):
-            for r0 in range(0, len(faces), step):
-                r = slice(r0, r0 + step)
+        for size in range(2, faces.max_size + 1):
+            for r0 in range(start[size], start[size + 1], step):
+                r = slice(r0, min(r0 + step, start[size + 1]))
+                verts = faces.vertex_table[r, :size]
                 if size == 2:
-                    gaps[faces[r]], wit[faces[r]] = _pair_gaps(
-                        block, verts[r], np.arange(r0, r0 + len(verts[r])), stairs)
+                    gaps[r], wit[r] = _pair_gaps(block, verts, np.arange(r0 - m, r.stop - m), stairs)
                     continue
-                v = gaps[facets[r, 0]]
-                b = wit[facets[r, 0]]
+                facets = faces.facet_table[r0 - m : r.stop - m]
+                v = gaps[facets[:, 0]]
+                b = wit[facets[:, 0]]
                 w = np.empty(v.shape, dtype=np.int8)
-                w[:] = verts[r, :1]
+                w[:] = verts[:, :1]
                 for t in range(1, size):
-                    g = gaps[facets[r, t]]
+                    g = gaps[facets[:, t]]
                     younger = g < v
                     np.copyto(v, g, where=younger)
-                    np.copyto(b, wit[facets[r, t]], where=younger)
-                    np.copyto(w, verts[r, t, None], where=younger)
+                    np.copyto(b, wit[facets[:, t]], where=younger)
+                    np.copyto(w, verts[:, t, None], where=younger)
                 at = w.astype(np.intp)  # flat indices into front, then into block
                 at *= width
                 at += b
@@ -498,19 +511,19 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
                 cells = np.flatnonzero(slack < v)
                 if cells.size:
                     rr, j = np.divmod(cells, B)
-                    rows = verts[r][rr]
-                    v.flat[cells], b.flat[cells] = _scan(
-                        block[rows, j[:, None]], rows, front)
-                gaps[faces[r]], wit[faces[r]] = v, b
+                    rows = verts[rr]
+                    v.flat[cells], b.flat[cells] = _scan(block[rows, j[:, None]], rows, front)
+                gaps[r], wit[r] = v, b
         del wit
         out = gaps.astype(np.result_type(work, np.int32), copy=False)
         del gaps  # keep only the returned block while the caller works on it
-        yield range(start, stop), out
+        yield range(first, stop), out
 
 
 def ray_births(T: OrderTable, a: int, max_size: int) -> tuple[np.ndarray, int]:
-    """Birth grade numerators of every subset (from subset_tables) in the
-    ray filtration of 1-based column a, plus the endpoint numerator.
+    """Birth grade numerators of every face of subset_tables(T.m,
+    max_size), in that numbering, in the ray filtration of 1-based column
+    a, plus the endpoint numerator.
 
     A subset sigma first appears at grade t_end - g/n where g is the
     largest integer such that some column b satisfies
@@ -536,7 +549,7 @@ def ray_filtration(T: OrderTable, a: int, skeleton: int | None = None) -> Filtra
         skeleton = T.m - 1
     max_size = min(skeleton + 1, T.m)
     births, tmax = ray_births(T, a, max_size)
-    masks, verts, _, _, _ = subset_tables(T.m, max_size)
-    order = sorted(range(len(masks)), key=lambda k: (births[k], len(verts[k]), verts[k]))
+    masks = subset_tables(T.m, max_size).masks
+    order = np.argsort(births, kind="stable").tolist()  # the face index breaks ties
     entries = tuple((int(births[k]), masks[k]) for k in order)
     return Filtration(T.m, T.n, entries, tmax, validate=False)

@@ -14,13 +14,12 @@ leave open go through the F2 reduction (see `_block_lengths`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .dowker import MAX_ROWS, subset_gaps, subset_tables
+from .dowker import MAX_ROWS, FaceTables, subset_gaps, subset_tables
 from .ingest import DataMatrix, OrderTable, order_table
 from .persistence import MaxLengths, pair_reduction
 
@@ -159,67 +158,30 @@ def _subset_births_blocks(ord_arr: np.ndarray, max_size: int):
         del gaps  # no block outlives its use while the next one is built
 
 
-@lru_cache(maxsize=None)
-def _rank_tables(m: int, max_size: int):
-    """The faces of subset_tables(m, max_size) renumbered by tie-break
-    rank, i.e. by (size, vertex order), so that each size is one range.
-
-    Returns (perm, start, facets, cofacets).  perm[r] is the subset_tables
-    index of the face of rank r, and the faces of size s hold ranks
-    start[s] .. start[s+1]-1.  facets[r - m] lists the facet ranks of the
-    face of rank r >= m, and cofacets[r] the cofacet ranks of the face of
-    rank r < start[max_size].  Shorter lists repeat their first entry,
-    which changes no max or min over a slot (a column) and no bit set
-    from a row.  The tables are column-major, so each slot is contiguous,
-    and None when max_size < 3.  Every facet ranks below its face.
-    """
-    masks, _, sizes, facet_idx, tiebreak = subset_tables(m, max_size)
-    perm = np.argsort(tiebreak)
-    start = np.searchsorted(sizes[perm], np.arange(max_size + 2)).tolist()
-    rank = {masks[k]: int(tiebreak[k]) for k in range(len(masks))}
-
-    def faces(s):
-        return perm[start[s] : start[s + 1]].tolist()
-
-    def padded(tables, width):
-        rows = [np.hstack([t, np.repeat(t[:, :1], width - t.shape[1], axis=1)]) for t in tables]
-        return np.asfortranarray(np.vstack(rows))
-
-    if max_size < 3:  # the kernel needs a dimension in 1 .. max_size-2
-        return perm, start, None, None
-    facets = [tiebreak[[list(facet_idx[k]) for k in faces(s)]] for s in range(2, max_size + 1)]
-    cofacets = [
-        np.array([[rank[masks[k] | 1 << v] for v in range(m) if not masks[k] >> v & 1]
-                  for k in faces(s)]).reshape(-1, m - s)
-        for s in range(1, max_size)
-    ]
-    return perm, start, padded(facets, max_size), padded(cofacets, m - 1)
-
-
-def _apparent_pairs(key: np.ndarray, m: int, max_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Apparent pairs for (S, c) filtration keys, c columns indexed by
-    rank, for the faces of rank m and up (size >= 2; needs max_size >= 3).
+def _apparent_pairs(key: np.ndarray, faces: FaceTables) -> tuple[np.ndarray, np.ndarray]:
+    """Apparent pairs for (S, c) filtration keys of c columns, indexed by
+    face, for the faces m and up (size >= 2; needs max_size >= 3).
 
     Returns (young, apparent): young[i] is the key of the youngest facet
-    of face m+i, whose rank is young[i] % S; apparent[i] says whether that
-    facet and face m+i form an apparent pair.  Slot by slot, so no
+    of face m+i, whose index is young[i] % S; apparent[i] says whether
+    that facet and face m+i form an apparent pair.  Slot by slot, so no
     facet-by-key array is ever gathered.
     """
-    _, _, facets, cofacets = _rank_tables(m, max_size)
     S = key.shape[0]
-    young = key[facets[:, 0]]
-    for f in facets.T[1:]:
+    young = key[faces.facet_table[:, 0]]
+    for f in faces.facet_table.T[1:]:
         np.maximum(young, key[f], out=young)
-    old = key[cofacets[:, 0]]
-    for f in cofacets.T[1:]:
+    old = key[faces.cofacet_table[:, 0]]
+    for f in faces.cofacet_table.T[1:]:
         np.minimum(old, key[f], out=old)
-    return young, np.take_along_axis(old % S, young % S, axis=0) == np.arange(m, S)[:, None]
+    return young, np.take_along_axis(old % S, young % S, axis=0) == np.arange(faces.m, S)[:, None]
 
 
-def _block_lengths(births: np.ndarray, tmax: np.ndarray, m: int, max_size: int,
+def _block_lengths(births: np.ndarray, tmax: np.ndarray, faces: FaceTables,
                    out: np.ndarray) -> None:
     """Write the longest interval per dimension (grade numerators) of each
-    column of one birth block into out, one row per column.
+    column of one birth block into out, one row per column.  births has
+    one row per face of `faces`, in its numbering.
 
     Every face is born by tmax (take b = a in the birth identity), so each
     ray filtration ends in the full (max_size-1)-skeleton of the simplex
@@ -234,8 +196,8 @@ def _block_lengths(births: np.ndarray, tmax: np.ndarray, m: int, max_size: int,
     - dimensions max_size-1 .. d_up have no creators, so length 0;
     - for 1 <= k <= max_size-2, (sigma, tau) is an apparent pair when
       sigma is tau's youngest facet and tau is sigma's oldest cofacet, in
-      the filtration order births*S + tie-break rank.  No column before
-      tau contains sigma, so tau's boundary column is already reduced with
+      the filtration order births*S + face index.  No column before tau
+      contains sigma, so tau's boundary column is already reduced with
       pivot sigma: the pair is a persistence pair.  A dimension with
       C(m-1, k+1) apparent pairs is settled by them; otherwise
       _reduce_leftover finds the rest and stops at the count.
@@ -244,18 +206,17 @@ def _block_lengths(births: np.ndarray, tmax: np.ndarray, m: int, max_size: int,
     running max over facet slots and min over cofacet slots.
     """
     S, B = births.shape
-    perm, start, _, _ = _rank_tables(m, max_size)
-    top = max_size - 2
+    m, start, top = faces.m, faces.start, faces.max_size - 2
     key_type = np.int32 if (int(tmax.max()) + 1) * S < 2**31 else np.int64
-    ranks = np.arange(S, dtype=key_type)[:, None]
-    out[:, 0] = tmax - births[perm[:m]].min(axis=0)
+    index = np.arange(S, dtype=key_type)[:, None]
+    out[:, 0] = tmax - births[:m].min(axis=0)
     if top < 1:
         return
     for c0 in range(0, B, CHUNK):
         c1 = min(c0 + CHUNK, B)
-        b = births[perm, c0:c1]
-        key = b.astype(key_type) * S + ranks
-        young, apparent = _apparent_pairs(key, m, max_size)
+        b = births[:, c0:c1]
+        key = b.astype(key_type) * S + index
+        young, apparent = _apparent_pairs(key, faces)
         length = np.where(apparent, (key[m:] - young) // S, 0)
         need = np.zeros((top + 1, c1 - c0), dtype=np.int64)  # non-apparent pairs
         for k in range(1, top + 1):
@@ -265,14 +226,14 @@ def _block_lengths(births: np.ndarray, tmax: np.ndarray, m: int, max_size: int,
         for j in np.flatnonzero(need.any(axis=0)).tolist():
             _reduce_leftover(b[:, j], key[:, j], young[:, j], apparent[:, j],
                              [(k, q) for k, q in enumerate(need[:, j].tolist()) if q],
-                             m, max_size, out[c0 + j])
+                             faces, out[c0 + j])
 
 
-def _reduce_leftover(b, key, young, apparent, need, m, max_size, row) -> None:
+def _reduce_leftover(b, key, young, apparent, need, faces, row) -> None:
     """Raise row[k] to the longest non-apparent pair of each unfinished
     dimension k of one column; need lists (k, its non-apparent pair count)
-    in ascending k.  b holds the column's births by rank, key its keys,
-    and young / apparent the `_apparent_pairs` output for ranks >= m.
+    in ascending k.  b holds the column's births by face, key its keys,
+    and young / apparent the `_apparent_pairs` output for faces >= m.
 
     One pair_reduction per dimension, on coboundary columns (same pairs
     as the boundary matrix: de Silva, Morozov and Vejdemo-Johansson,
@@ -289,7 +250,7 @@ def _reduce_leftover(b, key, young, apparent, need, m, max_size, row) -> None:
     destroyers), so the reduction stops at the count; any later column
     would reduce to zero.
     """
-    _, start, _, cofacets = _rank_tables(m, max_size)
+    m, start, cofacets = faces.m, faces.start, faces.cofacet_table
     S = len(b)
     order = np.argsort(key)
     rev = np.empty(S, dtype=np.int64)
@@ -304,7 +265,7 @@ def _reduce_leftover(b, key, young, apparent, need, m, max_size, row) -> None:
 
     paired = np.zeros(S, dtype=bool)
     paired[tau] = paired[sigma] = True
-    free = m + np.flatnonzero(~paired[m : start[max_size]])
+    free = m + np.flatnonzero(~paired[m : start[faces.max_size]])
     face, pos, bits = free.tolist(), rev[free].tolist(), rev[cofacets[free]].tolist()
     bounds = np.searchsorted(free, start).tolist()
     found, creators = [], []  # found: reversed positions of the destroyers
@@ -333,9 +294,10 @@ def _lk_from_order(ord_arr: np.ndarray, d_up: int) -> tuple[np.ndarray, np.ndarr
     max_size = min(d_up + 2, m)
     tmax = ord_arr.max(axis=0)
     per_column = np.zeros((n, d_up + 1), dtype=np.int64)
+    faces = subset_tables(m, max_size)
     for cols, births in _subset_births_blocks(ord_arr, max_size):
         block = slice(cols.start, cols.stop)
-        _block_lengths(births, tmax[block], m, max_size, per_column[block])
+        _block_lengths(births, tmax[block], faces, per_column[block])
         del births
     return per_column.max(axis=0), per_column
 

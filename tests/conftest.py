@@ -42,20 +42,29 @@ def random_order_table(rng, m: int, n: int, ties: bool):
 def prefix_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
     """Oracle for `dowker.subset_gaps`, same blocks and dtype: each face's
     min over its rows for every column of dst (not only the front), by
-    prefix minima along the subset enumeration (each face extends the
-    face before it by one vertex, or backs up), then the max."""
+    prefix minima along a depth-first walk of the faces (each face extends
+    the face before it by one vertex, or backs up), then the max.  Each
+    face's row is written at its index in subset_tables."""
     m, n = src.shape
-    _, verts, _, _, _ = subset_tables(m, max_size)
+    verts = subset_tables(m, max_size).verts
+    depth_first = sorted(range(len(verts)), key=verts.__getitem__)
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
         gaps = np.empty((len(verts), stop - start), dtype=np.result_type(src, dst, np.int32))
         stack: list[np.ndarray] = []
-        for k, vs in enumerate(verts):
+        for k in depth_first:
+            vs = verts[k]
             row = src[vs[-1], start:stop, None] - dst[vs[-1]]
             stack = stack[: len(vs) - 1]
             stack.append(np.minimum(stack[-1], row) if stack else row)
             gaps[k] = stack[-1].max(axis=1)
         yield range(start, stop), gaps
+
+
+def assert_tie_break_order(F) -> None:
+    """The entries of a filtration sorted by (grade, face size, vertices)."""
+    key = [(g, f.bit_count(), [i for i in range(F.m) if f >> i & 1]) for g, f in F.entries]
+    assert key == sorted(key)
 
 
 # Acceptance tests register one human-readable verdict line each; the

@@ -17,13 +17,13 @@ import pytest
 from qcsense import (
     DataMatrix,
     RegularPairSpec,
-    betti_numbers_by_elimination,
     cent0_predicate,
     check_sequence_realizable,
     compute_Lk,
     decide_dimension,
     discretized_central_region,
     dowker,
+    estimator,
     hull_membership,
     interleaving_distance,
     load_matrix,
@@ -36,6 +36,7 @@ from qcsense import (
     simplex_with_barycenter,
     subsample_points,
 )
+from qcsense.persistence import betti_numbers_by_elimination
 
 from conftest import ACCEPTANCE_LINES, EXAMPLE_CSV, random_tie_free_matrix
 
@@ -338,22 +339,32 @@ def test_criterion_10_column_count_scaling():
 
 def test_certificate_fallbacks_scale_with_columns(monkeypatch):
     # Beside criterion 10, on its own matrices, with counts in place of
-    # timings: the (face, column) cells whose births need the full scan
-    # over the front, at n=400 against n=200.  Machine speed cannot move
-    # these counts, so a scaling regression in births shows here first.
+    # timings, at n=400 against n=200: the (face, column) cells whose
+    # births need the full scan over the front, and the columns and pairs
+    # of the leftover reduction.  Machine speed cannot move these counts,
+    # so a scaling regression in births or reduction shows here first.
     rng = np.random.Generator(np.random.PCG64(1))
     M400 = DataMatrix(rng.random((10, 400)))
     M200 = DataMatrix(M400.values[:, :200])
-    scan = dowker._scan
-    scanned = []
+    scan, reduce = dowker._scan, estimator.pair_reduction
+    counts = {"fallback cells": [], "leftover columns": [], "leftover pairs": []}
 
-    def counting(x, rows, front):
-        scanned[-1] += len(rows)
+    def counting_scan(x, rows, front):
+        counts["fallback cells"][-1] += len(rows)
         return scan(x, rows, front)
 
-    monkeypatch.setattr(dowker, "_scan", counting)
+    def counting_reduce(columns, owned, limit):
+        pairs, creators = reduce(columns, owned, limit)
+        counts["leftover columns"][-1] += len(columns)
+        counts["leftover pairs"][-1] += len(pairs)
+        return pairs, creators
+
+    monkeypatch.setattr(dowker, "_scan", counting_scan)
+    monkeypatch.setattr(estimator, "pair_reduction", counting_reduce)
     for M in (M200, M400):
-        scanned.append(0)
+        for c in counts.values():
+            c.append(0)
         compute_Lk(M, d_up=3)
-    assert scanned[0] > 0
-    assert scanned[1] / scanned[0] <= 3.0, f"fallback cells {scanned}"
+    for name, (n200, n400) in counts.items():
+        assert n200 > 0, name
+        assert n400 / n200 <= 3.0, f"{name} {n200} -> {n400}"

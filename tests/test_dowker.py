@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,19 +12,24 @@ from hypothesis import strategies as st
 from qcsense import (
     DataMatrix,
     Filtration,
-    GradeVector,
     SimplicialComplex,
     dowker_at,
-    dowker_at_nerve,
-    hat_R_n,
     order_table,
     ray_filtration,
 )
 from qcsense import dowker
 from qcsense.central import undominated_columns
-from qcsense.dowker import BLOCK, MAX_ROWS, subset_gaps, subset_tables
+from qcsense.dowker import (
+    BLOCK,
+    MAX_ROWS,
+    GradeVector,
+    dowker_at_nerve,
+    hat_R_n,
+    subset_gaps,
+    subset_tables,
+)
 
-from conftest import prefix_gaps, random_order_table
+from conftest import assert_tie_break_order, prefix_gaps, random_order_table
 
 
 @pytest.fixture
@@ -194,6 +201,7 @@ class TestRayFiltration:
         )
         direct = dowker_at(T, t)
         assert F.complex_at(g_num / F.denominator).faces == direct.faces
+        assert_tie_break_order(F)
         # by the terminal grade the ray complex holds the full simplex
         full = F.complex_at(F.t_end_numer / F.denominator)
         assert (1 << T.m) - 1 in full.faces
@@ -207,20 +215,42 @@ class TestRayFiltration:
 
 class TestSubsetTables:
     def test_three_rows(self):
-        masks, verts, sizes, facets, tiebreak = subset_tables(3, 3)
-        assert len(masks) == 7
-        assert sorted(masks) == [1, 2, 3, 4, 5, 6, 7]
-        by_mask = dict(zip(masks, verts))
-        assert by_mask[0b111] == (0, 1, 2)
-        # facets of a pair are its two singletons
-        idx = masks.index(0b011)
-        facet_masks = {masks[j] for j in facets[idx]}
-        assert facet_masks == {0b001, 0b010}
+        faces = subset_tables(3, 3)
+        assert faces.masks == (0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
+        assert faces.verts[-1] == (0, 1, 2)
+        # facets of a pair are its two singletons, without vertex 0 then 1
+        idx = faces.masks.index(0b011)
+        assert [faces.masks[j] for j in faces.facet_table[idx - 3, :2]] == [0b010, 0b001]
 
     def test_size_cap(self):
-        masks, _, sizes, _, _ = subset_tables(4, 2)
-        assert max(sizes) == 2
-        assert len(masks) == 4 + 6
+        faces = subset_tables(4, 2)
+        assert max(len(vs) for vs in faces.verts) == 2
+        assert len(faces.masks) == 4 + 6
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_numbering(self, m):
+        for max_size in range(1, m + 1):
+            faces = subset_tables(m, max_size)
+            masks, verts, start = faces.masks, faces.verts, faces.start
+            # by size, then lexicographic vertex order
+            assert list(verts) == sorted(verts, key=lambda v: (len(v), v))
+            assert masks == tuple(sum(1 << v for v in vs) for vs in verts)
+            assert len(set(masks)) == len(masks) == sum(comb(m, s) for s in range(1, max_size + 1))
+            # start brackets each size
+            assert start[:2] == [0, 0] and start[-1] == len(masks)
+            for s in range(1, max_size + 1):
+                assert {len(verts[k]) for k in range(start[s], start[s + 1])} == {s}
+            # every facet and cofacet by mask; each facet below its face
+            index = {mask: k for k, mask in enumerate(masks)}
+            for k, vs in enumerate(verts):
+                assert tuple(faces.vertex_table[k, : len(vs)]) == vs
+                if len(vs) > 1:
+                    facets = faces.facet_table[k - m]
+                    assert [masks[f] for f in facets[: len(vs)]] == [masks[k] & ~(1 << v) for v in vs]
+                    assert max(facets) < k
+                if len(vs) < max_size:
+                    cofacets = {index[masks[k] | 1 << v] for v in range(m) if v not in vs}
+                    assert set(faces.cofacet_table[k]) == cofacets
 
 
 # Column counts at and around the subset_gaps block edges.
@@ -300,17 +330,19 @@ class TestSubsetGaps:
             gaps = np.hstack([g for _, g in subset_gaps(src, dst, max_size)])
         finally:
             dowker._scan = scan
-        _, verts, _, facets, _ = subset_tables(m, max_size)
+        faces = subset_tables(m, max_size)
+        verts = faces.verts
         front = dst[:, undominated_columns(dst)]
         mins = [(src[list(vs), :, None] - front[list(vs), None, :]).min(axis=0) for vs in verts]
         must_scan = must_certify = cells = 0
         for k, vs in enumerate(verts):
             if len(vs) < 3:
                 continue
-            v = gaps[list(facets[k])].min(axis=0)[:, None]
+            facets = faces.facet_table[k - m, : len(vs)]
+            v = gaps[facets].min(axis=0)[:, None]
             can_pass = np.zeros(n, dtype=bool)
             can_fail = np.zeros(n, dtype=bool)
-            for w, f in zip(vs, facets[k]):
+            for w, f in zip(vs, facets):
                 choice = (gaps[f][:, None] == v) & (mins[f] == v)  # youngest facet, a witness
                 passes = src[w][:, None] - front[w] >= v
                 can_pass |= (choice & passes).any(axis=1)

@@ -26,13 +26,12 @@ from qcsense.estimator import (
     CHUNK,
     _apparent_pairs,
     _lk_from_order,
-    _rank_tables,
     _subset_births_blocks,
     default_d_up,
 )
 from qcsense.persistence import _boundary_columns, pair_reduction, persistence_intervals
 
-from conftest import random_order_table, random_tie_free_matrix
+from conftest import assert_tie_break_order, random_order_table, random_tie_free_matrix
 
 
 class TestComputeLk:
@@ -91,17 +90,21 @@ class TestComputeLk:
 
 
 def full_scan_births_blocks(ord_arr: np.ndarray, max_size: int):
-    """Reference birth table: the max over b runs over all n columns."""
+    """Reference birth table: the max over b runs over all n columns, by
+    prefix minima along a depth-first walk of the faces; each face's row
+    is written at its index in subset_tables."""
     m, n = ord_arr.shape
-    masks, verts, _, _, _ = subset_tables(m, max_size)
+    verts = subset_tables(m, max_size).verts
+    depth_first = sorted(range(len(verts)), key=verts.__getitem__)
     tmax = ord_arr.max(axis=0).astype(np.int32)
     ord32 = ord_arr.astype(np.int32)
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
         block = slice(start, stop)
-        births = np.empty((len(masks), stop - start), dtype=np.int32)
+        births = np.empty((len(verts), stop - start), dtype=np.int32)
         stack: list[np.ndarray] = []
-        for k, vs in enumerate(verts):
+        for k in depth_first:
+            vs = verts[k]
             depth = len(vs)
             row = ord32[vs[-1], block][:, None] - ord32[vs[-1]][None, :]
             if depth == 1:
@@ -144,14 +147,14 @@ def column_lengths(
     births_col: list[int],
     tmax: int,
     sizes: list[int],
-    facets: tuple[tuple[int, ...], ...],
-    tiebreak: np.ndarray,
+    facets: list[tuple[int, ...]],
     d_up: int,
 ) -> list[int]:
     """Reference lengths: max interval length (in grade numerators) per
-    dimension for one column's ray filtration, reducing every column."""
+    dimension for one column's ray filtration, reducing every column.
+    Faces born at the same grade enter in index order."""
     S = len(births_col)
-    key = np.asarray(births_col, dtype=np.int64) * S + tiebreak
+    key = np.asarray(births_col, dtype=np.int64) * S + np.arange(S)
     order = np.argsort(key).tolist()
     pos = [0] * S
     for j, g in enumerate(order):
@@ -181,14 +184,16 @@ def reference_lengths(ord_arr: np.ndarray, d_up: int) -> np.ndarray:
     full reduction."""
     m, n = ord_arr.shape
     max_size = min(d_up + 2, m)
-    _, _, sizes, facets, tiebreak = subset_tables(m, max_size)
+    faces = subset_tables(m, max_size)
+    index = {mask: k for k, mask in enumerate(faces.masks)}
+    sizes = [len(vs) for vs in faces.verts]
+    facets = [tuple(index[mask & ~(1 << v)] for v in vs) if len(vs) > 1 else ()
+              for mask, vs in zip(faces.masks, faces.verts)]
     tmax = ord_arr.max(axis=0)
     out = []
     for cols, births in full_scan_births_blocks(ord_arr, max_size):
         for j, a in enumerate(cols):
-            out.append(column_lengths(
-                births[:, j].tolist(), int(tmax[a]), sizes.tolist(), facets, tiebreak, d_up
-            ))
+            out.append(column_lengths(births[:, j].tolist(), int(tmax[a]), sizes, facets, d_up))
     return np.asarray(out, dtype=np.int64).reshape(n, d_up + 1)
 
 
@@ -270,7 +275,9 @@ class TestStoppingRulePremise:
         d_up = data.draw(st.integers(0, m))
         max_size = min(d_up + 2, m)
         a = data.draw(st.integers(1, n))
-        D = persistence_intervals(ray_filtration(T, a, max_size - 1), d_up)
+        F = ray_filtration(T, a, max_size - 1)
+        assert_tie_break_order(F)
+        D = persistence_intervals(F, d_up)
         for k in range(max_size - 1):
             finite = [iv for iv in D.by_dim(k) if not iv.essential]
             assert len(finite) == comb(m - 1, k + 1)
@@ -284,21 +291,21 @@ class TestStoppingRulePremise:
         T = random_order_table(np.random.Generator(np.random.PCG64(seed)), m, n, ties)
         max_size = data.draw(st.integers(3, m))
         a = data.draw(st.integers(1, n))
-        masks = subset_tables(m, max_size)[0]
-        perm = _rank_tables(m, max_size)[0]
+        faces = subset_tables(m, max_size)
+        masks = faces.masks
         S = len(masks)
         births, _ = ray_births(T, a, max_size)
-        key = births[perm][:, None] * S + np.arange(S)[:, None]
-        young, apparent = _apparent_pairs(key, m, max_size)
+        key = births[:, None] * S + np.arange(S)[:, None]
+        young, apparent = _apparent_pairs(key, faces)
 
         F = ray_filtration(T, a, max_size - 1)
         pos = {f: j for j, (_, f) in enumerate(F.entries)}
-        assert [masks[perm[r]] for r in np.argsort(key[:, 0])] == [f for _, f in F.entries]
+        assert [masks[k] for k in np.argsort(key[:, 0])] == [f for _, f in F.entries]
         pairs, _ = pair_reduction(_boundary_columns(F)[0])
         found = 0
         for i in np.flatnonzero(apparent[:, 0]):
-            sigma = masks[perm[young[i, 0] % S]]
-            tau = masks[perm[m + i]]
+            sigma = masks[young[i, 0] % S]
+            tau = masks[m + i]
             assert pairs[pos[sigma]] == pos[tau]
             found += 1
         assert found > 0

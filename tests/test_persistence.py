@@ -13,13 +13,12 @@ from qcsense import (
     MaxLengths,
     PersistenceDiagram,
     PersistenceInterval,
-    betti_numbers_by_elimination,
     max_lengths,
     order_table,
     persistence_intervals,
     ray_filtration,
 )
-from qcsense.persistence import pair_reduction
+from qcsense.persistence import betti_numbers_by_elimination, pair_reduction
 
 from conftest import random_tie_free_matrix
 
