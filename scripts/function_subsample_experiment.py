@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 
 from qcsense import (
     RegularPairSpec,
@@ -44,22 +45,20 @@ def main(argv=None) -> int:
     verdict = int(decide_dimension(res.boxplots))
     print(f"m_s={args.size}: verdict={verdict}", file=sys.stderr)
 
-    writer = csv.DictWriter(
-        open(args.out, "w", newline="") if args.out else sys.stdout,
-        fieldnames=["k", "q1", "median", "q3", "outliers", "verdict"],
-    )
-    writer.writeheader()
-    for k, bp in sorted(res.boxplots.items()):
-        writer.writerow(
-            {
-                "k": k,
-                "q1": bp.q1,
-                "median": bp.q2,
-                "q3": bp.q3,
-                "outliers": len(bp.outliers),
-                "verdict": verdict,
-            }
-        )
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as f:
+        writer = csv.DictWriter(f, fieldnames=["k", "q1", "median", "q3", "outliers", "verdict"])
+        writer.writeheader()
+        for k, bp in sorted(res.boxplots.items()):
+            writer.writerow(
+                {
+                    "k": k,
+                    "q1": bp.q1,
+                    "median": bp.q2,
+                    "q3": bp.q3,
+                    "outliers": len(bp.outliers),
+                    "verdict": verdict,
+                }
+            )
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 
 from qcsense import (
     RegularPairSpec,
@@ -58,12 +59,12 @@ def main(argv=None) -> int:
             )
         print(f"n_s={n_s}: verdict={verdict}", file=sys.stderr)
 
-    writer = csv.DictWriter(
-        open(args.out, "w", newline="") if args.out else sys.stdout,
-        fieldnames=["n_s", "k", "q1", "median", "q3", "outliers", "verdict"],
-    )
-    writer.writeheader()
-    writer.writerows(rows)
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as f:
+        writer = csv.DictWriter(
+            f, fieldnames=["n_s", "k", "q1", "median", "q3", "outliers", "verdict"]
+        )
+        writer.writeheader()
+        writer.writerows(rows)
     return 0
 
 

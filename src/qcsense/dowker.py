@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -288,23 +288,22 @@ class FaceTables(NamedTuple):
     tie-break between faces born at the same grade: a stable sort of a
     birth array is the filtration order.
 
-    Face k has bitmask masks[k] and ascending 0-based vertices verts[k].
     The faces of size s are start[s] .. start[s+1]-1, so face k < m is
-    vertex k, and every facet indexes below its face.  The padded tables
-    are column-major, so each slot is contiguous, and a row shorter than
-    the width repeats its last entry, which changes no max or min over a
-    slot and no bit set from a row:
+    vertex k, every facet indexes below its face, and start[-1] counts
+    the faces.  Face k of size s has the ascending 0-based vertices
+    vertex_table[k, :s].  The padded tables are column-major, so each
+    slot is contiguous, and a row shorter than the width repeats its last
+    entry, which changes no max or min over a slot and no bit set from a
+    row:
 
-    - vertex_table[k, t] = verts[k][t];
+    - vertex_table[k] lists the vertices of face k;
     - facet_table[k - m, t] is the facet of face k >= m without vertex
-      verts[k][t];
+      vertex_table[k, t];
     - cofacet_table[k] lists the cofacets of face k < start[max_size].
     """
 
     m: int
     max_size: int
-    masks: tuple[int, ...]
-    verts: tuple[tuple[int, ...], ...]
     start: list[int]
     vertex_table: np.ndarray
     facet_table: np.ndarray
@@ -322,10 +321,9 @@ def subset_tables(m: int, max_size: int) -> FaceTables:
     vertices, built once per (m, max_size) for every kernel that walks
     the faces."""
     max_size = min(max_size, m)
-    verts = tuple(c for s in range(1, max_size + 1) for c in combinations(range(m), s))
-    masks = tuple(sum(1 << v for v in vs) for vs in verts)
     start = [0, 0, *accumulate(math.comb(m, s) for s in range(1, max_size + 1))]
-    by_size = [np.array(verts[start[s] : start[s + 1]], dtype=np.intp).reshape(-1, s)
+    by_size = [np.fromiter(chain.from_iterable(combinations(range(m), s)), dtype=np.intp,
+                           count=s * math.comb(m, s)).reshape(-1, s)
                for s in range(1, max_size + 1)]
     binom = np.array([[math.comb(i, j) for j in range(max_size + 1)] for i in range(m)],
                      dtype=np.intp)
@@ -342,7 +340,7 @@ def subset_tables(m: int, max_size: int) -> FaceTables:
     # table's entries by facet
     cofacets = [start[s + 1] + np.argsort(f, axis=None, kind="stable").reshape(-1, m - s) // (s + 1)
                 for s, f in enumerate(facets, start=1)]
-    return FaceTables(m, max_size, masks, verts, start, _padded(by_size, max_size),
+    return FaceTables(m, max_size, start, _padded(by_size, max_size),
                       _padded(facets, max_size), _padded(cofacets, m - 1))
 
 
@@ -456,9 +454,8 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
 
     The certificate costs a few gathers per cell against |sigma| |C| for
     the scan.  CELLS bounds the (face, column) cells handled at once and
-    SCAN_CELLS the scan's (face, column of C) cells.  Differences are
-    taken in the dtype of src - dst; gaps come out at least int32, so a
-    caller may rewrite them in place.
+    SCAN_CELLS the scan's (face, column of C) cells.  Differences, and
+    so the gaps, are in the dtype of src - dst, which must hold them.
     """
     m, n = src.shape
     faces = subset_tables(m, max_size)
@@ -514,10 +511,9 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
                     rows = verts[rr]
                     v.flat[cells], b.flat[cells] = _scan(block[rows, j[:, None]], rows, front)
                 gaps[r], wit[r] = v, b
-        del wit
-        out = gaps.astype(np.result_type(work, np.int32), copy=False)
-        del gaps  # keep only the returned block while the caller works on it
-        yield range(first, stop), out
+        del wit  # keep only the returned block while the caller works on it
+        yield range(first, stop), gaps
+        del gaps  # and drop it before the next one is built
 
 
 def ray_births(T: OrderTable, a: int, max_size: int) -> tuple[np.ndarray, int]:
@@ -549,7 +545,9 @@ def ray_filtration(T: OrderTable, a: int, skeleton: int | None = None) -> Filtra
         skeleton = T.m - 1
     max_size = min(skeleton + 1, T.m)
     births, tmax = ray_births(T, a, max_size)
-    masks = subset_tables(T.m, max_size).masks
-    order = np.argsort(births, kind="stable").tolist()  # the face index breaks ties
-    entries = tuple((int(births[k]), masks[k]) for k in order)
-    return Filtration(T.m, T.n, entries, tmax, validate=False)
+    # a padded row repeats a vertex, which sets no extra bit
+    bits = np.uint64(1) << subset_tables(T.m, max_size).vertex_table.astype(np.uint64)
+    masks = np.bitwise_or.reduce(bits, axis=1)
+    order = np.argsort(births, kind="stable")  # the face index breaks ties
+    return Filtration(T.m, T.n, zip(births[order].tolist(), masks[order].tolist()), tmax,
+                      validate=False)

@@ -6,9 +6,10 @@ per-column ray filtrations.  The estimate of the sensed dimension is one
 plus the largest k whose L_k clears a threshold; subsampling replaces the
 single threshold call by a first-quartile test over replicates.
 
-Per column, lengths come from the birth table by apparent pairs, clearing
-and a count of the pairs each dimension must have; only the columns those
-leave open go through the F2 reduction (see `_block_lengths`).
+Per column, lengths come from the gap table of `dowker.subset_gaps` by
+apparent pairs, clearing and a count of the pairs each dimension must
+have; only the columns those leave open go through the F2 reduction (see
+`_block_lengths`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .persistence import MaxLengths, pair_reduction
 GENERATOR_NAME = "numpy.random.PCG64"
 
 # Anchor columns per apparent-pair pass: its (S, CHUNK) key scratch stays far
-# below the S x BLOCK birth table, so the pass adds nothing to peak memory.
+# below the S x BLOCK gap table, so the pass adds nothing to peak memory.
 CHUNK = 8
 
 
@@ -139,25 +140,6 @@ def default_d_up(m: int) -> int:
     return max(min(m - 2, 6), 0)
 
 
-def _subset_births_blocks(ord_arr: np.ndarray, max_size: int):
-    """Yield (column_range, births) blocks: births[k, j] is the grade
-    numerator at which subset k enters the ray filtration of the block's
-    j-th column.
-
-    Entry grades follow from a min/max identity: subset sigma is present
-    for column a at countdown c iff some column b has ord_i(b) <= ord_i(a)
-    - c for all i in sigma, so its birth numerator is max_i ord_i(a) minus
-    the gap max_b min_i (ord_i(a) - ord_i(b)) of `subset_gaps`.
-    """
-    tmax = ord_arr.max(axis=0).astype(np.int32)
-    # Rank differences lie in (-n, n): int16 halves the memory traffic of
-    # the fallback scans and keeps the witness columns small.
-    ranks = ord_arr.astype(np.int16 if ord_arr.shape[1] < 2**15 else np.int32)
-    for cols, gaps in subset_gaps(ranks, ranks, max_size):
-        yield cols, np.subtract(tmax[cols.start : cols.stop], gaps, out=gaps)
-        del gaps  # no block outlives its use while the next one is built
-
-
 def _apparent_pairs(key: np.ndarray, faces: FaceTables) -> tuple[np.ndarray, np.ndarray]:
     """Apparent pairs for (S, c) filtration keys of c columns, indexed by
     face, for the faces m and up (size >= 2; needs max_size >= 3).
@@ -177,26 +159,28 @@ def _apparent_pairs(key: np.ndarray, faces: FaceTables) -> tuple[np.ndarray, np.
     return young, np.take_along_axis(old % S, young % S, axis=0) == np.arange(faces.m, S)[:, None]
 
 
-def _block_lengths(births: np.ndarray, tmax: np.ndarray, faces: FaceTables,
-                   out: np.ndarray) -> None:
+def _block_lengths(gaps: np.ndarray, faces: FaceTables, out: np.ndarray) -> None:
     """Write the longest interval per dimension (grade numerators) of each
-    column of one birth block into out, one row per column.  births has
-    one row per face of `faces`, in its numbering.
+    column of one `subset_gaps` block into out, one row per column.  gaps
+    has one row per face of `faces`, in its numbering.
 
-    Every face is born by tmax (take b = a in the birth identity), so each
-    ray filtration ends in the full (max_size-1)-skeleton of the simplex
-    on [m].  Its homology fixes the pairs: dimension k <= max_size-2 has
-    exactly C(m-1, k+1) finite pairs, and the oldest vertex is the only
-    essential class in dimensions 0 .. d_up.  (The top dimension
-    max_size-1 holds more essential cycles, but it exceeds d_up unless
-    max_size = m, where the one top face destroys.)  Hence:
+    Face sigma enters column a's ray filtration at tmax - g_sigma, tmax =
+    max_i ord_i(a), so the filtration order is descending gap with ties
+    to the lower face index, and a length is a gap difference: no length
+    depends on tmax.  Every face is in by tmax (g >= 0, take b = a), so
+    each ray filtration ends in the full (max_size-1)-skeleton of the
+    simplex on [m].  Its homology fixes the pairs: dimension k <=
+    max_size-2 has exactly C(m-1, k+1) finite pairs, and the oldest vertex
+    is the only essential class in dimensions 0 .. d_up.  (The top
+    dimension max_size-1 holds more essential cycles, but it exceeds d_up
+    unless max_size = m, where the one top face destroys.)  Hence:
 
-    - L_0 is that vertex's length, tmax minus the least vertex birth; no
-      finite dimension-0 pair is longer;
+    - L_0 is that vertex's length, the largest vertex gap; no finite
+      dimension-0 pair is longer;
     - dimensions max_size-1 .. d_up have no creators, so length 0;
     - for 1 <= k <= max_size-2, (sigma, tau) is an apparent pair when
       sigma is tau's youngest facet and tau is sigma's oldest cofacet, in
-      the filtration order births*S + face index.  No column before tau
+      the filtration order -gaps*S + face index.  No column before tau
       contains sigma, so tau's boundary column is already reduced with
       pivot sigma: the pair is a persistence pair.  A dimension with
       C(m-1, k+1) apparent pairs is settled by them; otherwise
@@ -205,17 +189,17 @@ def _block_lengths(births: np.ndarray, tmax: np.ndarray, faces: FaceTables,
     Apparent pairs are found in numpy, CHUNK columns at a time, with a
     running max over facet slots and min over cofacet slots.
     """
-    S, B = births.shape
+    S, B = gaps.shape
     m, start, top = faces.m, faces.start, faces.max_size - 2
-    key_type = np.int32 if (int(tmax.max()) + 1) * S < 2**31 else np.int64
+    key_type = np.int32 if (int(gaps.max()) + 1) * S < 2**31 else np.int64
     index = np.arange(S, dtype=key_type)[:, None]
-    out[:, 0] = tmax - births[:m].min(axis=0)
+    out[:, 0] = gaps[:m].max(axis=0)
     if top < 1:
         return
     for c0 in range(0, B, CHUNK):
         c1 = min(c0 + CHUNK, B)
-        b = births[:, c0:c1]
-        key = b.astype(key_type) * S + index
+        g = gaps[:, c0:c1]
+        key = index - g.astype(key_type) * S
         young, apparent = _apparent_pairs(key, faces)
         length = np.where(apparent, (key[m:] - young) // S, 0)
         need = np.zeros((top + 1, c1 - c0), dtype=np.int64)  # non-apparent pairs
@@ -224,15 +208,15 @@ def _block_lengths(births: np.ndarray, tmax: np.ndarray, faces: FaceTables,
             out[c0:c1, k] = length[rows].max(axis=0)
             need[k] = comb(m - 1, k + 1) - apparent[rows].sum(axis=0)
         for j in np.flatnonzero(need.any(axis=0)).tolist():
-            _reduce_leftover(b[:, j], key[:, j], young[:, j], apparent[:, j],
+            _reduce_leftover(g[:, j], key[:, j], young[:, j], apparent[:, j],
                              [(k, q) for k, q in enumerate(need[:, j].tolist()) if q],
                              faces, out[c0 + j])
 
 
-def _reduce_leftover(b, key, young, apparent, need, faces, row) -> None:
+def _reduce_leftover(gaps, key, young, apparent, need, faces, row) -> None:
     """Raise row[k] to the longest non-apparent pair of each unfinished
     dimension k of one column; need lists (k, its non-apparent pair count)
-    in ascending k.  b holds the column's births by face, key its keys,
+    in ascending k.  gaps holds the column's gaps by face, key its keys,
     and young / apparent the `_apparent_pairs` output for faces >= m.
 
     One pair_reduction per dimension, on coboundary columns (same pairs
@@ -251,7 +235,7 @@ def _reduce_leftover(b, key, young, apparent, need, faces, row) -> None:
     would reduce to zero.
     """
     m, start, cofacets = faces.m, faces.start, faces.cofacet_table
-    S = len(b)
+    S = len(gaps)
     order = np.argsort(key)
     rev = np.empty(S, dtype=np.int64)
     rev[order] = np.arange(S - 1, -1, -1)
@@ -277,7 +261,7 @@ def _reduce_leftover(b, key, young, apparent, need, faces, row) -> None:
         creators += [face[cols[j]] for j in pairs.values()]
     destroyers = order[S - 1 - np.array(found, dtype=np.int64)]
     dims = np.searchsorted(start, creators, side="right") - 2
-    np.maximum.at(row, dims, b[destroyers] - b[creators])
+    np.maximum.at(row, dims, gaps[creators] - gaps[destroyers])
 
 
 def _column(bits: list[int]) -> int:
@@ -292,13 +276,14 @@ def _lk_from_order(ord_arr: np.ndarray, d_up: int) -> tuple[np.ndarray, np.ndarr
     lengths)."""
     m, n = ord_arr.shape
     max_size = min(d_up + 2, m)
-    tmax = ord_arr.max(axis=0)
     per_column = np.zeros((n, d_up + 1), dtype=np.int64)
     faces = subset_tables(m, max_size)
-    for cols, births in _subset_births_blocks(ord_arr, max_size):
-        block = slice(cols.start, cols.stop)
-        _block_lengths(births, tmax[block], faces, per_column[block])
-        del births
+    # Rank differences lie in (-n, n): int16 halves the memory traffic of
+    # the fallback scans and keeps the witness columns small.
+    ranks = ord_arr.astype(np.int16 if n < 2**15 else np.int32)
+    for cols, gaps in subset_gaps(ranks, ranks, max_size):
+        _block_lengths(gaps, faces, per_column[cols.start : cols.stop])
+        del gaps  # no block outlives its use while the next one is built
     return per_column.max(axis=0), per_column
 
 
@@ -345,31 +330,20 @@ def d_hat_low(P: LkProfile, epsilon: float) -> EstimateResult:
     return EstimateResult(1 + max(qualifying), tuple(flags))
 
 
-def _run_replicates(tasks, worker, progress=None) -> list:
-    rows = []
-    for t in tasks:
-        rows.append(worker(t))
-        if progress is not None:
-            progress(len(rows), len(tasks))
-    return rows
-
-
 def subsample_points(
     M: DataMatrix,
     n_s: int,
     reps: int,
     d_up: int | None = None,
     seed: int = 0,
-    threads: int = 1,
     progress=None,
 ) -> SubsampleResult:
     """L-vectors of `reps` random n_s-column submatrices.
 
     Columns are drawn uniformly without replacement; each submatrix is
-    re-ranked on its own n_s-point grid.  Draws are made sequentially from
-    a PCG64 stream, so results are bit-reproducible for a given seed.
-    Replicates run one after another; `threads` is accepted for
-    compatibility and changes nothing (a thread pool measured slower).
+    re-ranked on its own n_s-point grid from the ranks of M, so exact ties
+    keep their column-index order.  Draws are made sequentially from a
+    PCG64 stream, so results are bit-reproducible for a given seed.
     """
     if not (1 <= n_s <= M.n):
         raise ValueError(f"subsample size {n_s} outside [1..{M.n}]")
@@ -377,16 +351,17 @@ def subsample_points(
         raise ValueError("reps must be >= 1")
     if d_up is None:
         d_up = default_d_up(M.m)
+    T = order_table(M)
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = [rng.choice(M.n, size=n_s, replace=False) for _ in range(reps)]
-
-    def worker(idx: np.ndarray) -> np.ndarray:
-        sub = M.values[:, idx]
-        T = order_table(DataMatrix(sub))
-        L_num, _ = _lk_from_order(T.ord, d_up)
-        return L_num / float(n_s)
-
-    rows = _run_replicates(draws, worker, progress)
+    rows = []
+    for idx in draws:
+        # each row of T.ord is a permutation of 1..n, so ranking the drawn
+        # entries re-ranks the submatrix with ties in column-index order
+        L_num, _ = _lk_from_order(T.ord[:, idx].argsort(axis=1).argsort(axis=1) + 1, d_up)
+        rows.append(L_num / float(n_s))
+        if progress is not None:
+            progress(len(rows), reps)
     return _summarize(np.vstack(rows), "points", d_up, n_s, reps, seed)
 
 
@@ -396,14 +371,12 @@ def subsample_functions(
     reps: int,
     d_up: int | None = None,
     seed: int = 0,
-    threads: int = 1,
     progress=None,
 ) -> SubsampleResult:
     """L-vectors of `reps` random m_s-row submatrices.
 
     Dropping rows leaves the surviving rows' orders untouched, so ranks
-    are computed once and subset per replicate.  `threads` changes
-    nothing, as in `subsample_points`.
+    are computed once and subset per replicate.
     """
     if not (1 <= m_s <= M.m):
         raise ValueError(f"subsample size {m_s} outside [1..{M.m}]")
@@ -414,12 +387,12 @@ def subsample_functions(
     T = order_table(M)
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = [rng.choice(M.m, size=m_s, replace=False) for _ in range(reps)]
-
-    def worker(idx: np.ndarray) -> np.ndarray:
+    rows = []
+    for idx in draws:
         L_num, _ = _lk_from_order(T.ord[idx], d_up)
-        return L_num / float(M.n)
-
-    rows = _run_replicates(draws, worker, progress)
+        rows.append(L_num / float(M.n))
+        if progress is not None:
+            progress(len(rows), reps)
     return _summarize(np.vstack(rows), "functions", d_up, m_s, reps, seed)
 
 

@@ -555,6 +555,21 @@ def cent1_membership(spec: RegularPairSpec, x: np.ndarray) -> Cent1Result:
     return Cent1Result(member=cone is ConeClass.FULL, cone=cone, dropped_rows=dropped)
 
 
+def _pointwise_values(spec: RegularPairSpec, X: np.ndarray) -> np.ndarray:
+    """The (m, len(X)) values of a quadratic family at the rows of X, each
+    from its own point by the same sequence of elementwise operations, so
+    a point's values do not depend on the batch it comes in (the einsum of
+    `RegularPairSpec.evaluate` may round with the shape)."""
+    if X.shape[1] != spec.d:
+        raise ValueError(f"points must have {spec.d} coordinates")
+    diff = X[None, :, :] - spec.centers[:, None, :]  # (m, q, d)
+    out = np.zeros(diff.shape[:2])
+    for r in range(spec.d):
+        for c in range(spec.d):
+            out += diff[:, :, r] * spec.forms[:, r, c, None] * diff[:, :, c]
+    return out
+
+
 def cent0_predicate(spec: RegularPairSpec, n_probe: int = 4096) -> Callable:
     """Membership predicate for the order-minimum central region.
 
@@ -570,7 +585,8 @@ def cent0_predicate(spec: RegularPairSpec, n_probe: int = 4096) -> Callable:
     * Quadratic families fall back to a dense probe cloud: a point is
       declared central when no probe beats it on every coordinate.  This
       one-sided approximation can only overestimate the region
-      (``pred.approximate`` is True).
+      (``pred.approximate`` is True).  A point's class does not depend on
+      the batch it is passed in.
     """
     if spec.family == "linear":
         V = spec.directions
@@ -593,14 +609,14 @@ def cent0_predicate(spec: RegularPairSpec, n_probe: int = 4096) -> Callable:
 
     rng = np.random.Generator(np.random.PCG64(spec.seed ^ 0x9E3779B9))
     probes = _ball_points(rng, n_probe, spec.d)
-    F = spec.evaluate(probes)  # (m, n_probe)
+    F = _pointwise_values(spec, probes)  # (m, n_probe)
     front = F[:, undominated_columns(F)]  # (m, n_front)
     width = max(front.shape[1], BLOCK)
 
     def pred(X: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
         single = X.ndim == 1
-        fx = spec.evaluate(np.atleast_2d(X))  # (m, q)
+        fx = _pointwise_values(spec, np.atleast_2d(X))  # (m, q)
         member = np.zeros(fx.shape[1], dtype=bool)
         # `width` points at a time against BLOCK probes at a time, dropping
         # the beaten points after each probe block: the scratch stays within

@@ -127,7 +127,7 @@ def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult
         for src, dst in ((scaled_a, scaled_b), (scaled_b, scaled_a))
         for _, gaps in subset_gaps(src, dst, max_size)
     )
-    checked = len(subset_tables(m, max_size).masks)
+    checked = subset_tables(m, max_size).start[-1]
     return InterleaveResult(
         distance=numerator / lcm,
         numerator=numerator,

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from qcsense import DataMatrix, load_matrix, order_table
-from qcsense.dowker import BLOCK, subset_tables
+from qcsense.dowker import BLOCK
 
 # 2x4 worked example: row order sequences (3,4,2,1) and (2,1,3,4).
 EXAMPLE_CSV = "8.23,4.19,2.56,3.96\n4.78,2.88,5.76,13.43\n"
@@ -39,18 +41,24 @@ def random_order_table(rng, m: int, n: int, ties: bool):
     return order_table(random_tie_free_matrix(rng, m, n))
 
 
+def face_list(m: int, max_size: int) -> list[tuple[int, ...]]:
+    """The faces of `dowker.subset_tables(m, max_size)` as 0-based vertex
+    tuples in its documented numbering: by size, then lexicographic."""
+    return [c for s in range(1, min(max_size, m) + 1) for c in combinations(range(m), s)]
+
+
 def prefix_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
     """Oracle for `dowker.subset_gaps`, same blocks and dtype: each face's
     min over its rows for every column of dst (not only the front), by
     prefix minima along a depth-first walk of the faces (each face extends
     the face before it by one vertex, or backs up), then the max.  Each
-    face's row is written at its index in subset_tables."""
+    face's row is written at its index in `face_list`."""
     m, n = src.shape
-    verts = subset_tables(m, max_size).verts
+    verts = face_list(m, max_size)
     depth_first = sorted(range(len(verts)), key=verts.__getitem__)
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
-        gaps = np.empty((len(verts), stop - start), dtype=np.result_type(src, dst, np.int32))
+        gaps = np.empty((len(verts), stop - start), dtype=np.result_type(src, dst))
         stack: list[np.ndarray] = []
         for k in depth_first:
             vs = verts[k]

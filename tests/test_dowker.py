@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from math import comb
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +27,7 @@ from qcsense.dowker import (
     subset_tables,
 )
 
-from conftest import assert_tie_break_order, prefix_gaps, random_order_table
+from conftest import assert_tie_break_order, face_list, prefix_gaps, random_order_table
 
 
 @pytest.fixture
@@ -213,43 +211,45 @@ class TestRayFiltration:
                 assert 0 <= g <= F.denominator
 
 
+def _mask(vs) -> int:
+    return sum(1 << v for v in vs)
+
+
 class TestSubsetTables:
     def test_three_rows(self):
         faces = subset_tables(3, 3)
-        assert faces.masks == (0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
-        assert faces.verts[-1] == (0, 1, 2)
+        assert faces.start == [0, 0, 3, 6, 7]
+        assert faces.vertex_table.tolist() == [
+            [0, 0, 0], [1, 1, 1], [2, 2, 2], [0, 1, 1], [0, 2, 2], [1, 2, 2], [0, 1, 2]]
         # facets of a pair are its two singletons, without vertex 0 then 1
-        idx = faces.masks.index(0b011)
-        assert [faces.masks[j] for j in faces.facet_table[idx - 3, :2]] == [0b010, 0b001]
+        assert faces.facet_table[0, :2].tolist() == [1, 0]
 
     def test_size_cap(self):
         faces = subset_tables(4, 2)
-        assert max(len(vs) for vs in faces.verts) == 2
-        assert len(faces.masks) == 4 + 6
+        assert faces.vertex_table.shape == (4 + 6, 2)
+        assert faces.start[-1] == 4 + 6
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_numbering(self, m):
         for max_size in range(1, m + 1):
             faces = subset_tables(m, max_size)
-            masks, verts, start = faces.masks, faces.verts, faces.start
-            # by size, then lexicographic vertex order
-            assert list(verts) == sorted(verts, key=lambda v: (len(v), v))
-            assert masks == tuple(sum(1 << v for v in vs) for vs in verts)
-            assert len(set(masks)) == len(masks) == sum(comb(m, s) for s in range(1, max_size + 1))
-            # start brackets each size
-            assert start[:2] == [0, 0] and start[-1] == len(masks)
+            verts, start = face_list(m, max_size), faces.start
+            assert faces.vertex_table.dtype == faces.facet_table.dtype == np.intp
+            # start brackets each size, in the numbering of face_list
+            assert start[:2] == [0, 0] and start[-1] == len(verts)
             for s in range(1, max_size + 1):
                 assert {len(verts[k]) for k in range(start[s], start[s + 1])} == {s}
-            # every facet and cofacet by mask; each facet below its face
-            index = {mask: k for k, mask in enumerate(masks)}
+            # vertices padded by the last one; every facet and cofacet by
+            # mask; each facet below its face
+            index = {_mask(vs): k for k, vs in enumerate(verts)}
             for k, vs in enumerate(verts):
-                assert tuple(faces.vertex_table[k, : len(vs)]) == vs
+                assert tuple(faces.vertex_table[k]) == vs + vs[-1:] * (max_size - len(vs))
                 if len(vs) > 1:
                     facets = faces.facet_table[k - m]
-                    assert [masks[f] for f in facets[: len(vs)]] == [masks[k] & ~(1 << v) for v in vs]
+                    assert list(facets[: len(vs)]) == [index[_mask(vs) & ~(1 << v)] for v in vs]
                     assert max(facets) < k
                 if len(vs) < max_size:
-                    cofacets = {index[masks[k] | 1 << v] for v in range(m) if v not in vs}
+                    cofacets = {index[_mask(vs) | 1 << v] for v in range(m) if v not in vs}
                     assert set(faces.cofacet_table[k]) == cofacets
 
 
@@ -331,7 +331,7 @@ class TestSubsetGaps:
         finally:
             dowker._scan = scan
         faces = subset_tables(m, max_size)
-        verts = faces.verts
+        verts = face_list(m, max_size)
         front = dst[:, undominated_columns(dst)]
         mins = [(src[list(vs), :, None] - front[list(vs), None, :]).min(axis=0) for vs in verts]
         must_scan = must_certify = cells = 0

@@ -16,22 +16,23 @@ from qcsense import (
     compute_Lk,
     d_hat_low,
     decide_dimension,
+    load_matrix,
     order_table,
     subsample_functions,
     subsample_points,
 )
 from qcsense import estimator
 from qcsense.dowker import BLOCK, ray_births, ray_filtration, subset_tables
-from qcsense.estimator import (
-    CHUNK,
-    _apparent_pairs,
-    _lk_from_order,
-    _subset_births_blocks,
-    default_d_up,
-)
+from qcsense.estimator import CHUNK, _apparent_pairs, _lk_from_order, default_d_up
 from qcsense.persistence import _boundary_columns, pair_reduction, persistence_intervals
 
-from conftest import assert_tie_break_order, random_order_table, random_tie_free_matrix
+from conftest import (
+    assert_tie_break_order,
+    face_list,
+    prefix_gaps,
+    random_order_table,
+    random_tie_free_matrix,
+)
 
 
 class TestComputeLk:
@@ -89,60 +90,6 @@ class TestComputeLk:
         assert all(0.0 <= v <= 1.0 for v in P.L)
 
 
-def full_scan_births_blocks(ord_arr: np.ndarray, max_size: int):
-    """Reference birth table: the max over b runs over all n columns, by
-    prefix minima along a depth-first walk of the faces; each face's row
-    is written at its index in subset_tables."""
-    m, n = ord_arr.shape
-    verts = subset_tables(m, max_size).verts
-    depth_first = sorted(range(len(verts)), key=verts.__getitem__)
-    tmax = ord_arr.max(axis=0).astype(np.int32)
-    ord32 = ord_arr.astype(np.int32)
-    for start in range(0, n, BLOCK):
-        stop = min(start + BLOCK, n)
-        block = slice(start, stop)
-        births = np.empty((len(verts), stop - start), dtype=np.int32)
-        stack: list[np.ndarray] = []
-        for k in depth_first:
-            vs = verts[k]
-            depth = len(vs)
-            row = ord32[vs[-1], block][:, None] - ord32[vs[-1]][None, :]
-            if depth == 1:
-                stack = [row]
-            else:
-                stack = stack[: depth - 1]
-                stack.append(np.minimum(stack[depth - 2], row))
-            births[k] = tmax[block] - stack[-1].max(axis=1)
-        yield range(start, stop), births
-
-
-class TestBirthTable:
-    """The front-restricted birth table equals the full scan bit for bit."""
-
-    @given(
-        st.integers(1, 6),
-        st.integers(1, 2 * BLOCK + 40),
-        st.booleans(),
-        st.integers(0, 2**32 - 1),
-        st.data(),
-    )
-    @example(m=1, n=7, ties=False, seed=0, data=None)
-    @example(m=4, n=1, ties=False, seed=0, data=None)
-    @example(m=5, n=BLOCK + 1, ties=True, seed=1, data=None)
-    @settings(max_examples=300, deadline=None)
-    def test_matches_full_scan(self, m, n, ties, seed, data):
-        T = random_order_table(np.random.Generator(np.random.PCG64(seed)), m, n, ties)
-        top = max(m - 2, 0)
-        d_up = top if data is None else data.draw(st.integers(0, top))
-        max_size = min(d_up + 2, m)
-        got = list(_subset_births_blocks(T.ord, max_size))
-        want = list(full_scan_births_blocks(T.ord, max_size))
-        assert [cols for cols, _ in got] == [cols for cols, _ in want]
-        for (_, b_got), (_, b_want) in zip(got, want):
-            assert b_got.dtype == b_want.dtype
-            assert np.array_equal(b_got, b_want)
-
-
 def column_lengths(
     births_col: list[int],
     tmax: int,
@@ -180,20 +127,21 @@ def column_lengths(
 
 
 def reference_lengths(ord_arr: np.ndarray, d_up: int) -> np.ndarray:
-    """(n, d_up+1) per-column lengths from the full-scan births and the
-    full reduction."""
+    """(n, d_up+1) per-column lengths from the full-scan births (the
+    prefix-minimum gaps over every column) and the full reduction."""
     m, n = ord_arr.shape
     max_size = min(d_up + 2, m)
-    faces = subset_tables(m, max_size)
-    index = {mask: k for k, mask in enumerate(faces.masks)}
-    sizes = [len(vs) for vs in faces.verts]
-    facets = [tuple(index[mask & ~(1 << v)] for v in vs) if len(vs) > 1 else ()
-              for mask, vs in zip(faces.masks, faces.verts)]
+    verts = face_list(m, max_size)
+    index = {vs: k for k, vs in enumerate(verts)}
+    sizes = [len(vs) for vs in verts]
+    facets = [tuple(index[vs[:t] + vs[t + 1 :]] for t in range(len(vs))) if len(vs) > 1 else ()
+              for vs in verts]
     tmax = ord_arr.max(axis=0)
     out = []
-    for cols, births in full_scan_births_blocks(ord_arr, max_size):
+    for cols, gaps in prefix_gaps(ord_arr, ord_arr, max_size):
         for j, a in enumerate(cols):
-            out.append(column_lengths(births[:, j].tolist(), int(tmax[a]), sizes, facets, d_up))
+            births = (tmax[a] - gaps[:, j]).tolist()
+            out.append(column_lengths(births, int(tmax[a]), sizes, facets, d_up))
     return np.asarray(out, dtype=np.int64).reshape(n, d_up + 1)
 
 
@@ -292,7 +240,7 @@ class TestStoppingRulePremise:
         max_size = data.draw(st.integers(3, m))
         a = data.draw(st.integers(1, n))
         faces = subset_tables(m, max_size)
-        masks = faces.masks
+        masks = [sum(1 << v for v in vs) for vs in face_list(m, max_size)]
         S = len(masks)
         births, _ = ray_births(T, a, max_size)
         key = births[:, None] * S + np.arange(S)[:, None]
@@ -387,11 +335,20 @@ class TestSubsamplePoints:
         b = subsample_points(example_matrix, n_s=3, reps=8, d_up=1, seed=7)
         assert np.array_equal(a.replicates, b.replicates)
 
-    def test_thread_count_invariance(self, rng):
-        M = random_tie_free_matrix(rng, 4, 30)
-        a = subsample_points(M, n_s=15, reps=12, seed=3, threads=1)
-        b = subsample_points(M, n_s=15, reps=12, seed=3, threads=3)
-        assert np.array_equal(a.replicates, b.replicates)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_keep_column_order(self, seed):
+        # a tied matrix is accepted, and each replicate is compute_Lk on
+        # its drawn columns in ascending order, where the ties break by
+        # column index as in the full matrix (on this matrix, breaking them
+        # in draw order changes 6 of the 24 replicates)
+        M = load_matrix("1,1,2,1,2,2\n0,0,1,2,0,2\n2,2,2,0,1,2\n",
+                        tie_policy="break-by-column-index")
+        res = subsample_points(M, n_s=4, reps=6, d_up=1, seed=seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for row in res.replicates:
+            idx = np.sort(rng.choice(M.n, size=4, replace=False))
+            sub = DataMatrix(M.values[:, idx], check_ties=False)
+            assert row.tolist() == list(compute_Lk(sub, d_up=1).L)
 
     def test_size_out_of_range(self, example_matrix):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcsense.central import undominated_columns
-from qcsense.geometry import _ball_points, _sampled_directions
+from qcsense.geometry import _ball_points, _pointwise_values, _sampled_directions
 
 from qcsense import (
     Cent1Result,
@@ -386,11 +386,11 @@ class TestCent0Predicate:
 
 def cent0_loop(spec: RegularPairSpec, n_probe: int, X: np.ndarray) -> np.ndarray:
     """Oracle: the one-probe-at-a-time loop the quadratic cent0 predicate
-    ran before it was blocked."""
+    ran before it was blocked, on the predicate's own values."""
     rng = np.random.Generator(np.random.PCG64(spec.seed ^ 0x9E3779B9))
-    F = spec.evaluate(_ball_points(rng, n_probe, spec.d))
+    F = _pointwise_values(spec, _ball_points(rng, n_probe, spec.d))
     front = F[:, undominated_columns(F)]
-    fx = spec.evaluate(np.atleast_2d(X))
+    fx = _pointwise_values(spec, np.atleast_2d(X))
     beaten = np.zeros(fx.shape[1], dtype=bool)
     for p in range(front.shape[1]):
         alive = np.nonzero(~beaten)[0]
@@ -428,6 +428,29 @@ class TestCent0Blocked:
         assert got.dtype == bool
         assert np.array_equal(got, cent0_loop(spec, n_probe, X))
         assert pred(X[0]) is bool(pred(X[:1])[0])
+
+
+class TestCent0BatchInvariance:
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.integers(0, 2**16),
+        st.sampled_from([1, 7, 128, 129]),
+        st.integers(0, 40),
+    )
+    @example(d=2, m=1, seed=0, n_probe=1, q=5)  # the probe, tied with itself
+    @settings(max_examples=60, deadline=None)
+    def test_alone_equals_in_batch(self, d, m, seed, n_probe, q):
+        spec = RegularPairSpec.random_quadratic(d=d, m=m, seed=seed)
+        rng = np.random.Generator(np.random.PCG64(seed + 1))
+        probes = _ball_points(np.random.Generator(np.random.PCG64(spec.seed ^ 0x9E3779B9)),
+                              n_probe, d)
+        X = np.vstack([_ball_points(rng, q, d), probes[:16]])
+        pred = cent0_predicate(spec, n_probe=n_probe)
+        batch = pred(X)
+        assert [pred(x) for x in X] == batch.tolist()
+        perm = rng.permutation(len(X))
+        assert np.array_equal(pred(X[perm]), batch[perm])
 
 
 class TestGeneralDirection:

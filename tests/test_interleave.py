@@ -282,15 +282,27 @@ class TestSkeletonBound:
         assert res.distance == 0.0
 
 
-def test_trend_script_closes_its_csv(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "interleave_trend.py"
+SCRIPT_RUNS = {
+    "interleave_trend": (["--m", "1", "--ref-n", "20", "--sizes", "5", "10", "--trials", "2"],
+                         "trial,n,distance", 1 + 2 * 2),
+    "point_subsample_experiment": (["--d", "2", "--m", "3", "--n", "12", "--sizes", "6", "8",
+                                    "--reps", "3"], "n_s,k,q1,median,q3,outliers,verdict",
+                                   1 + 2 * 3),
+    "function_subsample_experiment": (["--d", "1", "--m", "5", "--n", "10", "--size", "3",
+                                       "--reps", "3"], "k,q1,median,q3,outliers,verdict", 1 + 3),
+}
+
+
+@pytest.mark.parametrize("name", SCRIPT_RUNS)
+def test_trend_script_closes_its_csv(tmp_path, name):
+    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
     main = runpy.run_path(str(script))["main"]
-    out = tmp_path / "trend.csv"
-    argv = ["--m", "1", "--ref-n", "20", "--sizes", "5", "10", "--trials", "2", "--out", str(out)]
+    argv, header, lines = SCRIPT_RUNS[name]
+    out = tmp_path / "out.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        assert main(argv) == 0
+        assert main([*argv, "--out", str(out)]) == 0
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-    assert out.read_text().splitlines()[0] == "trial,n,distance"
-    assert len(out.read_text().splitlines()) == 1 + 2 * 2
+    assert out.read_text().splitlines()[0] == header
+    assert len(out.read_text().splitlines()) == lines
