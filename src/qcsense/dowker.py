@@ -47,6 +47,11 @@ BLOCK = 128
 CELLS = 8192
 SCAN_CELLS = 32768
 
+# Faces subset_tables builds at most.  Measured at (m, max_size) = (20, 8),
+# 263,949 faces: the build peaks at 76 MB and compute_Lk on 64 columns adds
+# 298 MB (tracemalloc), 1.4 KB a face, so the cap stays near 0.75 GB.
+MAX_FACES = 2**19
+
 GRID_SNAP = 1e-9  # rescue k/n thresholds from float round-off
 
 Grades = Union["GradeVector", Sequence[float]]
@@ -310,21 +315,22 @@ class FaceTables(NamedTuple):
     cofacet_table: np.ndarray
 
 
-def _padded(parts: list[np.ndarray], width: int) -> np.ndarray:
-    rows = [np.pad(p, ((0, 0), (0, width - p.shape[1])), mode="edge") for p in parts]
-    return np.asfortranarray(np.vstack(rows) if rows else np.empty((0, width), dtype=np.intp))
+def _fill(rows: np.ndarray, block: np.ndarray) -> None:
+    """Write block into the first columns of rows, its last column into the rest."""
+    rows[:, : block.shape[1]] = block
+    rows[:, block.shape[1] :] = block[:, -1:]
 
 
 @lru_cache(maxsize=None)
 def subset_tables(m: int, max_size: int) -> FaceTables:
     """The FaceTables of the subsets of [m] up to min(max_size, m)
     vertices, built once per (m, max_size) for every kernel that walks
-    the faces."""
+    the faces.  Raises ValueError past MAX_FACES faces."""
     max_size = min(max_size, m)
     start = [0, 0, *accumulate(math.comb(m, s) for s in range(1, max_size + 1))]
-    by_size = [np.fromiter(chain.from_iterable(combinations(range(m), s)), dtype=np.intp,
-                           count=s * math.comb(m, s)).reshape(-1, s)
-               for s in range(1, max_size + 1)]
+    if start[-1] > MAX_FACES:
+        raise ValueError(f"m={m} rows with faces of up to {max_size} vertices make {start[-1]:,}"
+                         f" faces, past the cap of {MAX_FACES:,}; use fewer rows or a smaller d_up")
     binom = np.array([[math.comb(i, j) for j in range(max_size + 1)] for i in range(m)],
                      dtype=np.intp)
 
@@ -334,14 +340,23 @@ def subset_tables(m: int, max_size: int) -> FaceTables:
         s = rows.shape[1]
         return start[s] + math.comb(m, s) - 1 - binom[m - 1 - rows, np.arange(s, 0, -1)].sum(axis=1)
 
-    facets = [np.stack([index(np.delete(rows, t, axis=1)) for t in range(s)], axis=1)
-              for s, rows in enumerate(by_size[1:], start=2)]
-    # face k of size s is the facet of m - s cofacets: group the facet
-    # table's entries by facet
-    cofacets = [start[s + 1] + np.argsort(f, axis=None, kind="stable").reshape(-1, m - s) // (s + 1)
-                for s, f in enumerate(facets, start=1)]
-    return FaceTables(m, max_size, start, _padded(by_size, max_size),
-                      _padded(facets, max_size), _padded(cofacets, m - 1))
+    vertex_table = np.empty((start[-1], max_size), dtype=np.intp, order="F")
+    facet_table = np.empty((start[-1] - m, max_size), dtype=np.intp, order="F")
+    cofacet_table = np.empty((start[max_size], m - 1), dtype=np.intp, order="F")
+    for s in range(1, max_size + 1):
+        verts = vertex_table[start[s] : start[s + 1]]
+        _fill(verts, np.fromiter(chain.from_iterable(combinations(range(m), s)), dtype=np.intp,
+                                 count=s * math.comb(m, s)).reshape(-1, s))
+        if s > 1:
+            facets = facet_table[start[s] - m : start[s + 1] - m]
+            for t in range(s):
+                facets[:, t] = index(np.delete(verts[:, :s], t, axis=1))
+            facets[:, s:] = facets[:, s - 1 : s]
+            # face k of size s-1 is the facet of m-s+1 cofacets: group the
+            # facet entries by facet
+            _fill(cofacet_table[start[s - 1] : start[s]], start[s] + np.argsort(
+                facets[:, :s], axis=None, kind="stable").reshape(-1, m - s + 1) // s)
+    return FaceTables(m, max_size, start, vertex_table, facet_table, cofacet_table)
 
 
 def _staircases(front: np.ndarray, pairs: np.ndarray):

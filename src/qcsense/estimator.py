@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .dowker import MAX_ROWS, FaceTables, subset_gaps, subset_tables
-from .ingest import DataMatrix, OrderTable, order_table
+from .ingest import DataMatrix, OrderTable, order_table, rank_rows
 from .persistence import MaxLengths, pair_reduction
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -298,7 +298,7 @@ def compute_Lk(
     """
     T = M if isinstance(M, OrderTable) else order_table(M)
     if T.m > MAX_ROWS:
-        raise ValueError(f"m={T.m} rows exceed the {MAX_ROWS}-bit face masks")
+        raise ValueError(f"m={T.m} rows exceed the {MAX_ROWS} that ray filtrations' face masks hold")
     if d_up is None:
         d_up = default_d_up(T.m)
     if d_up < 0:
@@ -358,7 +358,7 @@ def subsample_points(
     for idx in draws:
         # each row of T.ord is a permutation of 1..n, so ranking the drawn
         # entries re-ranks the submatrix with ties in column-index order
-        L_num, _ = _lk_from_order(T.ord[:, idx].argsort(axis=1).argsort(axis=1) + 1, d_up)
+        L_num, _ = _lk_from_order(rank_rows(T.ord[:, idx]), d_up)
         rows.append(L_num / float(n_s))
         if progress is not None:
             progress(len(rows), reps)

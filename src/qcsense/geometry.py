@@ -32,7 +32,7 @@ import numpy as np
 
 from .central import BLOCK, undominated_columns
 from .exactlp import convex_combination, feasible_system, rational_rank
-from .ingest import DataMatrix
+from .ingest import DataMatrix, sort_rows
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
@@ -58,6 +58,8 @@ HULL_FEASIBILITY_TOL = 1e-10
 REALIZE_MIN_GAP = 1e-9
 
 _MAX_HULL_POINTS = 16
+
+MC_BATCH = 8192  # ball points per mc_measure draw; estimates depend on it
 
 
 class ConeClass(enum.Enum):
@@ -300,23 +302,16 @@ def sample_pair(
     notes: list[str] = []
     for attempt in range(max_resample):
         vals = spec.evaluate(pts)
-        tied_cols: set[int] = set()
-        for i in range(vals.shape[0]):
-            order = np.argsort(vals[i], kind="stable")
-            row = vals[i, order]
-            dup = np.nonzero(row[1:] == row[:-1])[0]
-            for j in dup:
-                tied_cols.add(int(order[j + 1]))
-        if not tied_cols:
+        order, tied = sort_rows(vals)
+        cols = np.unique(order[:, 1:][tied])  # the later column of each tied pair
+        if not cols.size:
             break
-        cols = sorted(tied_cols)
         pts[cols] = _ball_points(rng, len(cols), spec.d)
         notes.append(f"resampled {len(cols)} point(s) to break exact value ties")
     else:
         raise RuntimeError("could not draw a tie-free sample; family may be degenerate")
-    cloud = PointCloud(pts)
-    matrix = DataMatrix(vals, warnings=tuple(notes))
-    return cloud, matrix
+    # the loop leaves no ties to check
+    return PointCloud(pts), DataMatrix(vals, warnings=tuple(notes), check_ties=False)
 
 
 def hull_membership(x: np.ndarray, points: np.ndarray) -> bool:
@@ -579,9 +574,9 @@ def cent0_predicate(spec: RegularPairSpec, n_probe: int = 4096) -> Callable:
     * Linear families admit an exact point-independent answer: a common
       strict descent direction w with <v_i, w> < 0 for all i exists iff
       the region is empty, and when no such w exists every point
-      qualifies.  The returned predicate is constant, exact and
-      vectorized (``pred.approximate`` is False, ``pred.constant`` holds
-      the shared verdict).
+      qualifies.  The returned predicate is constant and exact
+      (``pred.approximate`` is False, ``pred.constant`` holds the shared
+      verdict).
     * Quadratic families fall back to a dense probe cloud: a point is
       declared central when no probe beats it on every coordinate.  This
       one-sided approximation can only overestimate the region
@@ -604,7 +599,6 @@ def cent0_predicate(spec: RegularPairSpec, n_probe: int = 4096) -> Callable:
 
         pred.approximate = False
         pred.constant = verdict
-        pred.vectorized = True
         return pred
 
     rng = np.random.Generator(np.random.PCG64(spec.seed ^ 0x9E3779B9))
@@ -636,7 +630,6 @@ def cent0_predicate(spec: RegularPairSpec, n_probe: int = 4096) -> Callable:
 
     pred.approximate = True
     pred.constant = None
-    pred.vectorized = True
     return pred
 
 
@@ -665,27 +658,20 @@ def mc_measure(
     predicate: Callable,
     n_mc: int = 100_000,
     seed: int = 0,
-    batch: int = 8192,
 ) -> McEstimate:
-    """Fraction of the unit ball satisfying a membership predicate.
+    """Fraction of the unit ball satisfying a membership predicate, which
+    maps a (q, d) array of points to q booleans.
 
-    Samples uniform ball points in batches and reports the hit fraction
-    with its binomial standard error sqrt(p(1-p)/n).
+    Samples uniform ball points MC_BATCH at a time and reports the hit
+    fraction with its binomial standard error sqrt(p(1-p)/n).
     """
     if n_mc < 1:
         raise ValueError("need at least one Monte Carlo sample")
     rng = np.random.Generator(np.random.PCG64(seed))
-    vectorized = bool(getattr(predicate, "vectorized", False))
     hits = 0
-    done = 0
-    while done < n_mc:
-        take = min(batch, n_mc - done)
-        pts = _ball_points(rng, take, spec.d)
-        if vectorized:
-            hits += int(np.count_nonzero(predicate(pts)))
-        else:
-            hits += sum(bool(predicate(p)) for p in pts)
-        done += take
+    for done in range(0, n_mc, MC_BATCH):
+        pts = _ball_points(rng, min(MC_BATCH, n_mc - done), spec.d)
+        hits += int(np.count_nonzero(predicate(pts)))
     p = hits / n_mc
     se = math.sqrt(p * (1.0 - p) / n_mc)
     return McEstimate(

@@ -190,6 +190,18 @@ class TestSubsample:
         assert code == 2
         assert "error:" in err
 
+    def test_too_many_faces_exits_2(self, capsys, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(3))
+        path = tmp_path / "tall.csv"
+        path.write_text(DataMatrix(rng.permuted(np.tile(np.arange(4.0), (32, 1)), axis=1)).to_csv())
+        code, out, err = run_cli(
+            capsys,
+            ["subsample", "--input", str(path), "--mode", "functions",
+             "--size", "30", "--reps", "1"],
+        )
+        assert (code, out) == (2, "")
+        assert "8,656,936 faces" in err
+
 
 class TestCentral:
     def test_report_content(self, capsys, example_csv):

@@ -74,6 +74,12 @@ class TestComputeLk:
         with pytest.raises(ValueError, match="64"):
             compute_Lk(M, d_up=0)
 
+    def test_face_count_error(self):
+        # default d_up = 6 on 30 rows asks for 8,656,936 faces
+        M = random_tie_free_matrix(np.random.Generator(np.random.PCG64(0)), 30, 4)
+        with pytest.raises(ValueError, match="m=30 .* 8,656,936 faces"):
+            compute_Lk(M)
+
     def test_default_d_up(self):
         assert default_d_up(2) == 0
         assert default_d_up(8) == 6
@@ -390,6 +396,11 @@ class TestSubsampleFunctions:
         M = random_tie_free_matrix(rng, 3, 8)
         with pytest.raises(ValueError):
             subsample_functions(M, m_s=4, reps=1)
+
+    def test_face_count_error(self, rng):
+        M = random_tie_free_matrix(rng, 32, 4)
+        with pytest.raises(ValueError, match="m=30 .* 8,656,936 faces"):
+            subsample_functions(M, m_s=30, reps=1)
 
 
 class TestDecideDimension:

@@ -17,6 +17,7 @@ from qcsense import (
     load_matrix,
     order_table,
 )
+from qcsense.ingest import rank_rows, sort_rows
 
 from conftest import EXAMPLE_CSV
 
@@ -149,12 +150,6 @@ class TestOrderTable:
                 a = T.sequences[i, k]
                 assert T.ord[i, a - 1] == k + 1
 
-    def test_row_subset_preserves_ranks(self, example_matrix):
-        T = order_table(example_matrix)
-        S = T.row_subset([1])
-        assert S.m == 1
-        assert np.array_equal(S.ord[0], T.ord[1])
-
     @given(
         st.lists(
             st.lists(st.integers(0, 10_000), min_size=5, max_size=5, unique=True),
@@ -185,3 +180,87 @@ class TestOrderTable:
             y = 2.5 * x + 7.0
         N = DataMatrix(y[None, :])
         assert np.array_equal(order_table(M).ord, order_table(N).ord)
+
+
+# Integer matrices with few distinct values, so most rows carry ties, and
+# with many, so most rows are tie-free.
+int_matrices = st.integers(1, 6).flatmap(
+    lambda m: st.integers(1, 9).flatmap(
+        lambda n: st.sampled_from([3, 1000]).flatmap(
+            lambda top: st.lists(
+                st.lists(st.integers(-top, top), min_size=n, max_size=n),
+                min_size=m,
+                max_size=m,
+            )
+        )
+    )
+).map(lambda rows: np.array(rows, dtype=np.int64))
+
+
+def first_duplicate_loop(values):
+    """The per-row tie check DataMatrix ran before sort_rows: (1-based
+    row, smallest repeated value) of the first row with a repeat."""
+    for i in range(values.shape[0]):
+        row = np.sort(values[i])
+        dup = np.nonzero(row[1:] == row[:-1])[0]
+        if dup.size:
+            return i + 1, float(row[dup[0]])
+    return None
+
+
+def tied_rows_loop(values):
+    """The rows load_matrix named in its tie warning before sort_rows."""
+    return [i + 1 for i in range(values.shape[0]) if np.unique(values[i]).size < values.shape[1]]
+
+
+def tied_columns_loop(values):
+    """The columns geometry.sample_pair redrew before sort_rows: the later
+    column of each adjacent tied pair in each row's stable order."""
+    cols = set()
+    for i in range(values.shape[0]):
+        order = np.argsort(values[i], kind="stable")
+        row = values[i, order]
+        for j in np.nonzero(row[1:] == row[:-1])[0]:
+            cols.add(int(order[j + 1]))
+    return sorted(cols)
+
+
+class TestSortRows:
+    @given(int_matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_ranks_are_double_stable_argsort(self, values):
+        expect = values.argsort(axis=1, kind="stable").argsort(axis=1, kind="stable") + 1
+        got = rank_rows(values)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expect)
+
+    @given(int_matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_duplicate_error_matches_row_loop(self, values):
+        expect = first_duplicate_loop(values)
+        if expect is None:
+            DataMatrix(values)
+            return
+        with pytest.raises(DuplicateInRowError) as err:
+            DataMatrix(values)
+        assert (err.value.row, err.value.value) == expect
+
+    @given(int_matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_tie_warning_matches_row_loop(self, values):
+        text = "\n".join(",".join(map(str, row)) for row in values) + "\n"
+        M = load_matrix(text, tie_policy="break-by-column-index")
+        expect = tied_rows_loop(values)
+        if not expect:
+            assert M.warnings == ()
+        else:
+            assert M.warnings == (
+                f"exact ties in row(s) {','.join(map(str, expect))}"
+                " ordered by ascending column index",
+            )
+
+    @given(int_matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_tied_columns_match_row_loop(self, values):
+        order, tied = sort_rows(values)
+        assert np.unique(order[:, 1:][tied]).tolist() == tied_columns_loop(values)
