@@ -48,8 +48,8 @@ CELLS = 8192
 SCAN_CELLS = 32768
 
 # Faces subset_tables builds at most.  Measured at (m, max_size) = (20, 8),
-# 263,949 faces: the build peaks at 76 MB and compute_Lk on 64 columns adds
-# 298 MB (tracemalloc), 1.4 KB a face, so the cap stays near 0.75 GB.
+# 263,949 faces: the build peaks at 78 MB and compute_Lk on 64 columns adds
+# 313 MB (tracemalloc), 1.5 KB a face, so the cap stays near 0.8 GB.
 MAX_FACES = 2**19
 
 GRID_SNAP = 1e-9  # rescue k/n thresholds from float round-off
@@ -304,7 +304,15 @@ class FaceTables(NamedTuple):
     - vertex_table[k] lists the vertices of face k;
     - facet_table[k - m, t] is the facet of face k >= m without vertex
       vertex_table[k, t];
-    - cofacet_table[k] lists the cofacets of face k < start[max_size].
+    - cofacet_table[k] lists the cofacets of face k < start[max_size];
+    - slot_table[k - m, t] is the slot of face k in the cofacet row of
+      facet_table[k - m, t] (8-bit while m <= 255).
+
+    Facet rows descend and cofacet rows ascend in face index over their
+    real slots: removing a later vertex leaves a lexicographically
+    smaller face, and adding one a larger one.  So dropping vertex v,
+    the t-th of face k, leaves a facet whose cofacets below k add the
+    v - t missing vertices below v: slot_table[k - m, t] = v - t.
     """
 
     m: int
@@ -313,6 +321,7 @@ class FaceTables(NamedTuple):
     vertex_table: np.ndarray
     facet_table: np.ndarray
     cofacet_table: np.ndarray
+    slot_table: np.ndarray
 
 
 def _fill(rows: np.ndarray, block: np.ndarray) -> None:
@@ -343,6 +352,7 @@ def subset_tables(m: int, max_size: int) -> FaceTables:
     vertex_table = np.empty((start[-1], max_size), dtype=np.intp, order="F")
     facet_table = np.empty((start[-1] - m, max_size), dtype=np.intp, order="F")
     cofacet_table = np.empty((start[max_size], m - 1), dtype=np.intp, order="F")
+    slot_table = np.empty((start[-1] - m, max_size), dtype=np.min_scalar_type(m), order="F")
     for s in range(1, max_size + 1):
         verts = vertex_table[start[s] : start[s + 1]]
         _fill(verts, np.fromiter(chain.from_iterable(combinations(range(m), s)), dtype=np.intp,
@@ -352,11 +362,12 @@ def subset_tables(m: int, max_size: int) -> FaceTables:
             for t in range(s):
                 facets[:, t] = index(np.delete(verts[:, :s], t, axis=1))
             facets[:, s:] = facets[:, s - 1 : s]
+            _fill(slot_table[start[s] - m : start[s + 1] - m], verts[:, :s] - np.arange(s))
             # face k of size s-1 is the facet of m-s+1 cofacets: group the
             # facet entries by facet
             _fill(cofacet_table[start[s - 1] : start[s]], start[s] + np.argsort(
                 facets[:, :s], axis=None, kind="stable").reshape(-1, m - s + 1) // s)
-    return FaceTables(m, max_size, start, vertex_table, facet_table, cofacet_table)
+    return FaceTables(m, max_size, start, vertex_table, facet_table, cofacet_table, slot_table)
 
 
 def _staircases(front: np.ndarray, pairs: np.ndarray):

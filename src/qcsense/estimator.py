@@ -20,15 +20,18 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .dowker import MAX_ROWS, FaceTables, subset_gaps, subset_tables
+from .dowker import FaceTables, subset_gaps, subset_tables
 from .ingest import DataMatrix, OrderTable, order_table, rank_rows
 from .persistence import MaxLengths, pair_reduction
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
-# Anchor columns per apparent-pair pass: its (S, CHUNK) key scratch stays far
-# below the S x BLOCK gap table, so the pass adds nothing to peak memory.
-CHUNK = 8
+# Anchor columns per `_apparent` pass and `_reduce_chunk` setup.  On 40
+# functions-m10 replicates (m = 10, d_up = 3, S = 637 faces) 16 took 10-19%
+# less kernel time than 8, and up to 16 the kernel's tracemalloc peak stays
+# that of subset_gaps (0.578 MB), while 24 lifts it to 0.635 MB and 32 to
+# 0.744 MB: the chunk scratch is about 20 bytes a face per column.
+CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -140,23 +143,47 @@ def default_d_up(m: int) -> int:
     return max(min(m - 2, 6), 0)
 
 
-def _apparent_pairs(key: np.ndarray, faces: FaceTables) -> tuple[np.ndarray, np.ndarray]:
-    """Apparent pairs for (S, c) filtration keys of c columns, indexed by
-    face, for the faces m and up (size >= 2; needs max_size >= 3).
+def _apparent(g: np.ndarray, faces: FaceTables) -> tuple[np.ndarray, ...]:
+    """Apparent pairs of c columns from their (S, c) gaps g, for the faces
+    m and up (size >= 2; needs max_size >= 3).
 
-    Returns (young, apparent): young[i] is the key of the youngest facet
-    of face m+i, whose index is young[i] % S; apparent[i] says whether
-    that facet and face m+i form an apparent pair.  Slot by slot, so no
-    facet-by-key array is ever gathered.
+    Returns (apparent, young, length, need): apparent[i] says whether face
+    m+i and its youngest facet, facet slot young[i], form an apparent
+    pair; length[k-1] and need[k-1] are, for 1 <= k <= max_size-2, the
+    longest apparent pair of dimension k and the number of its pairs that
+    are not apparent.
+
+    The youngest facet is the first facet slot with the least gap (facet
+    slots descend in face index), the oldest cofacet the first cofacet
+    slot with the greatest gap (cofacet slots ascend), and the pair is
+    apparent when the facet's oldest-cofacet slot is slot_table's.  The
+    scratch is gaps, 8-bit slots and masks, a gather per slot.
     """
-    S = key.shape[0]
-    young = key[faces.facet_table[:, 0]]
-    for f in faces.facet_table.T[1:]:
-        np.maximum(young, key[f], out=young)
-    old = key[faces.cofacet_table[:, 0]]
-    for f in faces.cofacet_table.T[1:]:
-        np.minimum(old, key[f], out=old)
-    return young, np.take_along_axis(old % S, young % S, axis=0) == np.arange(faces.m, S)[:, None]
+    m, start, cofacets, facets = faces.m, faces.start, faces.cofacet_table, faces.facet_table
+    top, slots = faces.max_size - 2, faces.slot_table
+    # slots rise through each loop, so a slot is the max of t * [x beats
+    # the best so far] over the slots t taken
+    old = g.take(cofacets[:, 0], axis=0)
+    old_slot = np.zeros(old.shape, dtype=slots.dtype)
+    for t in range(1, m - 1):
+        x = g.take(cofacets[:, t], axis=0)
+        np.maximum(old_slot, (x > old).view(np.uint8) * slots.dtype.type(t), out=old_slot)
+        np.maximum(old, x, out=old)
+    least = g.take(facets[:, 0], axis=0)
+    young = np.zeros(least.shape, dtype=slots.dtype)
+    apparent = old_slot.take(facets[:, 0], axis=0) == slots[:, :1]
+    for t in range(1, faces.max_size):
+        x = g.take(facets[:, t], axis=0)
+        younger = x < least
+        np.maximum(young, younger.view(np.uint8) * slots.dtype.type(t), out=young)
+        np.copyto(apparent, old_slot.take(facets[:, t], axis=0) == slots[:, t, None], where=younger)
+        np.minimum(least, x, out=least)
+    least -= g[m:]  # a pair's length is its facet's gap less its own
+    least *= apparent
+    rows = [start[k + 2] - m for k in range(1, top + 1)]
+    pairs = np.array([comb(m - 1, k + 1) for k in range(1, top + 1)])
+    need = pairs[:, None] - np.add.reduceat(apparent, rows, axis=0, dtype=np.intp)
+    return apparent, young, np.maximum.reduceat(least, rows, axis=0), need
 
 
 def _block_lengths(gaps: np.ndarray, faces: FaceTables, out: np.ndarray) -> None:
@@ -179,89 +206,108 @@ def _block_lengths(gaps: np.ndarray, faces: FaceTables, out: np.ndarray) -> None
       dimension-0 pair is longer;
     - dimensions max_size-1 .. d_up have no creators, so length 0;
     - for 1 <= k <= max_size-2, (sigma, tau) is an apparent pair when
-      sigma is tau's youngest facet and tau is sigma's oldest cofacet, in
-      the filtration order -gaps*S + face index.  No column before tau
-      contains sigma, so tau's boundary column is already reduced with
-      pivot sigma: the pair is a persistence pair.  A dimension with
-      C(m-1, k+1) apparent pairs is settled by them; otherwise
-      _reduce_leftover finds the rest and stops at the count.
+      sigma is tau's youngest facet and tau is sigma's oldest cofacet in
+      the filtration order.  No column before tau contains sigma, so
+      tau's boundary column is already reduced with pivot sigma: the pair
+      is a persistence pair.  A dimension with C(m-1, k+1) apparent pairs
+      is settled by them; otherwise _reduce_chunk finds the rest and
+      stops at the count.
 
-    Apparent pairs are found in numpy, CHUNK columns at a time, with a
-    running max over facet slots and min over cofacet slots.
+    Both passes work on CHUNK columns at a time: `_apparent` in numpy on
+    the int16 gaps alone, and `_reduce_chunk` with one sort per chunk,
+    leaving only the F2 reductions to run per column.
     """
-    S, B = gaps.shape
-    m, start, top = faces.m, faces.start, faces.max_size - 2
-    key_type = np.int32 if (int(gaps.max()) + 1) * S < 2**31 else np.int64
-    index = np.arange(S, dtype=key_type)[:, None]
+    m, top = faces.m, faces.max_size - 2
     out[:, 0] = gaps[:m].max(axis=0)
     if top < 1:
         return
-    for c0 in range(0, B, CHUNK):
-        c1 = min(c0 + CHUNK, B)
-        g = gaps[:, c0:c1]
-        key = index - g.astype(key_type) * S
-        young, apparent = _apparent_pairs(key, faces)
-        length = np.where(apparent, (key[m:] - young) // S, 0)
-        need = np.zeros((top + 1, c1 - c0), dtype=np.int64)  # non-apparent pairs
-        for k in range(1, top + 1):
-            rows = slice(start[k + 2] - m, start[k + 3] - m)
-            out[c0:c1, k] = length[rows].max(axis=0)
-            need[k] = comb(m - 1, k + 1) - apparent[rows].sum(axis=0)
-        for j in np.flatnonzero(need.any(axis=0)).tolist():
-            _reduce_leftover(g[:, j], key[:, j], young[:, j], apparent[:, j],
-                             [(k, q) for k, q in enumerate(need[:, j].tolist()) if q],
-                             faces, out[c0 + j])
+    for c0 in range(0, gaps.shape[1], CHUNK):
+        g = np.ascontiguousarray(gaps[:, c0 : c0 + CHUNK])
+        apparent, young, length, need = _apparent(g, faces)
+        out[c0 : c0 + g.shape[1], 1 : top + 1] = length.T
+        if need.any():
+            _reduce_chunk(g, apparent, young, need, faces, out[c0 : c0 + CHUNK])
 
 
-def _reduce_leftover(gaps, key, young, apparent, need, faces, row) -> None:
-    """Raise row[k] to the longest non-apparent pair of each unfinished
-    dimension k of one column; need lists (k, its non-apparent pair count)
-    in ascending k.  gaps holds the column's gaps by face, key its keys,
-    and young / apparent the `_apparent_pairs` output for faces >= m.
+def _reduce_chunk(g, apparent, young, need, faces, out) -> None:
+    """Raise out[j, k] to the longest non-apparent pair of each unfinished
+    dimension k of column j, for the columns of gaps g and `_apparent`
+    output (apparent, young, need).
 
-    One pair_reduction per dimension, on coboundary columns (same pairs
-    as the boundary matrix: de Silva, Morozov and Vejdemo-Johansson,
-    "Dualities in persistent (co)homology", 2011): the size-(k+1) faces
-    youngest first, with bits at the reversed positions of their
-    cofacets.  Left out are the destroyers of dimension k-1, apparent or
-    found by the previous reduction (clearing: they reduce to zero), and
-    the apparent creators.  For an apparent pair (sigma, tau), tau is
-    sigma's oldest cofacet, the pivot of its coboundary, and sigma is
-    tau's youngest facet, so every column with bit tau comes after sigma,
-    which is then already reduced: `owned` regenerates it when tau turns
-    up as a pivot, and the pairs are those of the full reduction.  What
-    enters are creators (in dimension 1 also non-apparent dimension-0
-    destroyers), so the reduction stops at the count; any later column
-    would reduce to zero.
+    One pair_reduction per column and unfinished dimension, on coboundary
+    columns (same pairs as the boundary matrix: de Silva, Morozov and
+    Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011): the
+    size-(k+1) faces youngest first, with bits at the reversed positions
+    of their cofacets.  Left out are the destroyers of dimension k-1,
+    apparent or found by the previous reduction (clearing: they reduce to
+    zero), and the apparent creators.  For an apparent pair (sigma, tau),
+    tau is sigma's oldest cofacet, the pivot of its coboundary, and sigma
+    is tau's youngest facet, so every column with bit tau comes after
+    sigma, which is then already reduced: `owned` regenerates it when tau
+    turns up as a pivot, and the pairs are those of the full reduction.
+    What enters are creators (in dimension 1 also non-apparent
+    dimension-0 destroyers), so the reduction stops at the count; any
+    later column would reduce to zero.
+
+    The filtration order, the reversed positions and the free faces (in
+    no apparent pair) of the columns with an unfinished dimension are
+    found once for the chunk; only building a column's coboundaries and
+    its reductions run column by column.
     """
-    m, start, cofacets = faces.m, faces.start, faces.cofacet_table
-    S = len(gaps)
-    order = np.argsort(key)
-    rev = np.empty(S, dtype=np.int64)
-    rev[order] = np.arange(S - 1, -1, -1)
-    tau = m + np.flatnonzero(apparent)
-    sigma = young[apparent] % S
-    creator = dict(zip(rev[tau].tolist(), sigma.tolist()))
+    m, cofacets, facets = faces.m, faces.cofacet_table, faces.facet_table
+    cols = np.flatnonzero(need.any(axis=0))
+    g, apparent, young, need = (x.take(cols, axis=1) for x in (g, apparent, young, need))
+    (S, c), top = g.shape, faces.max_size - 2
+    # faces in filtration order (descending gap, ties to the lower index)
+    order = np.argsort(~g.T, axis=1, kind="stable").astype(np.int32)
+    rev = np.empty((c, S), dtype=np.int32)  # reversed positions, by face
+    np.put_along_axis(rev, order, np.arange(S - 1, -1, -1, dtype=np.int32)[None, :], axis=1)
+    face, cut = _free_faces(apparent, young, need, rev, faces)
+    for j, (todo, row) in enumerate(zip(need.T.tolist(), cols.tolist())):
+        r, line, found = rev[j], out[row], ()
+        for k, q in enumerate(todo, 1):
+            if not q:
+                continue
+            width = m - k - 1  # the real cofacet slots of a size-(k+1) face
 
-    def owned(p):
-        s = creator.get(p)
-        return None if s is None else _column(rev[cofacets[s]].tolist())
+            def owned(p):  # sigma's coboundary if tau, at p, is apparent
+                tau = order.item(j, S - 1 - p) - m
+                if not apparent.item(tau, j):
+                    return None
+                sigma = facets.item(tau, young.item(tau, j))
+                return _column(r[cofacets[sigma, :width]].tolist())
 
-    paired = np.zeros(S, dtype=bool)
-    paired[tau] = paired[sigma] = True
-    free = m + np.flatnonzero(~paired[m : start[faces.max_size]])
-    face, pos, bits = free.tolist(), rev[free].tolist(), rev[cofacets[free]].tolist()
-    bounds = np.searchsorted(free, start).tolist()
-    found, creators = [], []  # found: reversed positions of the destroyers
-    for k, q in need:
-        cols = [i for i in range(bounds[k + 1], bounds[k + 2]) if pos[i] not in found]
-        cols.sort(key=pos.__getitem__)
-        pairs, _ = pair_reduction([_column(bits[i]) for i in cols], owned, q)
-        found += pairs
-        creators += [face[cols[j]] for j in pairs.values()]
-    destroyers = order[S - 1 - np.array(found, dtype=np.int64)]
-    dims = np.searchsorted(start, creators, side="right") - 2
-    np.maximum.at(row, dims, gaps[creators] - gaps[destroyers])
+            live = face[cut[j * top + k - 1] : cut[j * top + k]]
+            if found:
+                live = live[[p not in found for p in r[live].tolist()]]
+            # found: destroyer position -> creator, cleared from dimension k+1
+            found, _ = pair_reduction(list(map(_column, r[cofacets[live, :width]].tolist())), owned, q)
+            best = max(g.item(live.item(i), j) - g.item(order.item(j, S - 1 - p), j)
+                       for p, i in found.items())
+            line[k] = max(line[k], best)
+
+
+def _free_faces(apparent, young, need, rev, faces) -> tuple[np.ndarray, list[int]]:
+    """The faces of each column j and unfinished dimension k that are in
+    no apparent pair, of size k+1 and youngest first by the reversed
+    positions rev: face[cut[j*top + k-1] : cut[j*top + k]], top =
+    max_size - 2."""
+    m, start, top = faces.m, faces.start, faces.max_size - 2
+    c, S = rev.shape
+    free = ~apparent[: start[top + 2] - m]
+    creators = apparent[start[3] - m :].copy()
+    for k in range(1, top + 1):
+        unfinished = need[k - 1] > 0
+        free[start[k + 1] - m : start[k + 2] - m] &= unfinished
+        creators[start[k + 2] - start[3] : start[k + 3] - start[3]] &= unfinished
+    # a creator is the youngest facet of its apparent face of size k+2
+    tau, j = np.divmod(np.flatnonzero(creators) + (start[3] - m) * c, c)
+    free[faces.facet_table.T.take(young[tau, j] * np.intp(S - m) + tau) - m, j] = False
+    j, face = np.nonzero(free.T)
+    face += m
+    group = j * top + np.searchsorted(start, face, side="right") - 3  # (column, dimension)
+    face = face[np.argsort(group * S + rev[j, face])]
+    return face, [0, *np.cumsum(np.bincount(group, minlength=c * top)).tolist()]
 
 
 def _column(bits: list[int]) -> int:
@@ -297,8 +343,6 @@ def compute_Lk(
     defaults to min(m-2, 6).
     """
     T = M if isinstance(M, OrderTable) else order_table(M)
-    if T.m > MAX_ROWS:
-        raise ValueError(f"m={T.m} rows exceed the {MAX_ROWS} that ray filtrations' face masks hold")
     if d_up is None:
         d_up = default_d_up(T.m)
     if d_up < 0:

@@ -6,12 +6,15 @@ bit-packed columns; classes alive at the end of the index range are
 capped there and flagged essential.  `persistence_intervals` reduces
 every column of a filtration; it is the reference path.  The estimator's
 L_k kernel calls `pair_reduction` only on what its shortcuts leave (see
-`estimator._block_lengths` and `estimator._reduce_leftover`):
+`estimator._block_lengths`, `estimator._apparent` and
+`estimator._reduce_chunk`):
 
 - apparent pairs (Bauer, "Ripser", JACT 2021): sigma is the youngest facet
   of tau and tau the oldest cofacet of sigma, a persistence pair that
-  needs no reduction.  sigma's column is an implicit reducer: it is not
-  passed, but regenerated when tau turns up as a pivot (`owned`);
+  needs no reduction.  The kernel reads both off the facet and cofacet
+  slots of each face, from the gaps alone.  sigma's column is an implicit
+  reducer: it is not passed, but regenerated when tau turns up as a pivot
+  (`owned`);
 - clearing across dimensions (Chen and Kerber, "Persistent homology
   computation with a twist", 2011): a face that destroys a pair one
   dimension down, apparent or found there, reduces to zero;

@@ -253,6 +253,25 @@ class TestSubsetTables:
                     cofacets = {index[_mask(vs) | 1 << v] for v in range(m) if v not in vs}
                     assert set(faces.cofacet_table[k]) == cofacets
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_slot_order(self, m):
+        # the apparent-pair pass reads the youngest facet and the oldest
+        # cofacet off the slot order, and the pair off slot_table
+        for max_size in range(1, 6):
+            faces = subset_tables(m, max_size)
+            start, size = faces.start, faces.max_size
+            assert faces.slot_table.dtype == np.uint8 and faces.slot_table.flags.f_contiguous
+            assert faces.slot_table.shape == faces.facet_table.shape
+            for s in range(2, size + 1):
+                facets = faces.facet_table[start[s] - m : start[s + 1] - m, :s]
+                assert np.all(np.diff(facets, axis=1) < 0)
+                tau = np.arange(start[s], start[s + 1])[:, None]
+                slots = faces.slot_table[start[s] - m : start[s + 1] - m, :s]
+                assert np.array_equal(faces.cofacet_table[facets, slots], np.broadcast_to(tau, facets.shape))
+            for s in range(1, size):
+                cofacets = faces.cofacet_table[start[s] : start[s + 1], : m - s]
+                assert np.all(np.diff(cofacets, axis=1) > 0)
+
 
 # Column counts at and around the subset_gaps block edges.
 EDGE_COLUMNS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)

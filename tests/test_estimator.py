@@ -22,8 +22,8 @@ from qcsense import (
     subsample_points,
 )
 from qcsense import estimator
-from qcsense.dowker import BLOCK, ray_births, ray_filtration, subset_tables
-from qcsense.estimator import CHUNK, _apparent_pairs, _lk_from_order, default_d_up
+from qcsense.dowker import BLOCK, ray_births, ray_filtration, subset_gaps, subset_tables
+from qcsense.estimator import CHUNK, _apparent, _lk_from_order, default_d_up
 from qcsense.persistence import _boundary_columns, pair_reduction, persistence_intervals
 
 from conftest import (
@@ -68,11 +68,13 @@ class TestComputeLk:
         P = compute_Lk(example_matrix, d_up=1, per_column=False)
         assert P.per_column is None
 
-    def test_row_capacity_error(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        M = random_tie_free_matrix(rng, 65, 2)
-        with pytest.raises(ValueError, match="64"):
-            compute_Lk(M, d_up=0)
+    def test_rows_past_mask_width(self):
+        # the kernel reads no face masks, so more rows than ray_filtration's
+        # 64-bit masks hold are fine, as in subsample_functions
+        M = random_tie_free_matrix(np.random.Generator(np.random.PCG64(0)), 65, 4)
+        P = compute_Lk(M, d_up=0)
+        assert P.L == (0.75,)
+        assert np.array_equal(subsample_functions(M, 65, 1, d_up=0).replicates, [P.L])
 
     def test_face_count_error(self):
         # default d_up = 6 on 30 rows asks for 8,656,936 faces
@@ -151,6 +153,53 @@ def reference_lengths(ord_arr: np.ndarray, d_up: int) -> np.ndarray:
     return np.asarray(out, dtype=np.int64).reshape(n, d_up + 1)
 
 
+def apparent_pairs_by_key(key: np.ndarray, faces) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for `estimator._apparent`: apparent pairs for (S, c)
+    filtration keys (face index - gap * S, ascending in filtration order)
+    of c columns, indexed by face, for the faces m and up.
+
+    Returns (young, apparent): young[i] is the key of the youngest facet
+    of face m+i, whose index is young[i] % S; apparent[i] says whether
+    that facet and face m+i form an apparent pair.
+    """
+    S = key.shape[0]
+    young = key[faces.facet_table[:, 0]]
+    for f in faces.facet_table.T[1:]:
+        np.maximum(young, key[f], out=young)
+    old = key[faces.cofacet_table[:, 0]]
+    for f in faces.cofacet_table.T[1:]:
+        np.minimum(old, key[f], out=old)
+    return young, np.take_along_axis(old % S, young % S, axis=0) == np.arange(faces.m, S)[:, None]
+
+
+class TestApparentPass:
+    """The slot pass on int16 gaps finds the apparent pairs of the key pass,
+    with the same per-dimension longest lengths and non-apparent counts."""
+
+    @given(st.integers(3, 8), st.integers(1, 2 * CHUNK), st.booleans(), st.integers(0, 2**32 - 1),
+           st.data())
+    @example(m=3, n=1, ties=False, seed=0, data=None)
+    @example(m=8, n=CHUNK, ties=True, seed=1, data=None)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_key_pass(self, m, n, ties, seed, data):
+        ord_arr = random_order_table(np.random.Generator(np.random.PCG64(seed)), m, n, ties).ord
+        max_size = m if data is None else data.draw(st.integers(3, m))
+        faces = subset_tables(m, max_size)
+        (_, gaps), = subset_gaps(ord_arr.astype(np.int16), ord_arr.astype(np.int16), max_size)
+        S, start = gaps.shape[0], faces.start
+        key = np.arange(S)[:, None] - gaps.astype(np.int64) * S
+        young, want = apparent_pairs_by_key(key, faces)
+        apparent, slot, length, need = _apparent(gaps, faces)
+        assert np.array_equal(apparent, want)
+        assert np.array_equal(np.take_along_axis(faces.facet_table, slot, axis=1), young % S)
+        pair_length = np.where(want, (key[m:] - young) // S, 0)
+        for k in range(1, max_size - 1):
+            rows = slice(start[k + 2] - m, start[k + 3] - m)
+            assert np.array_equal(length[k - 1], pair_length[rows].max(axis=0))
+            assert np.array_equal(need[k - 1], comb(m - 1, k + 1) - want[rows].sum(axis=0))
+        assert length.shape == need.shape == (max_size - 2, n)
+
+
 EDGE_N = (1, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK + 1)
 
 
@@ -185,19 +234,23 @@ class TestLengthKernel:
 class TestHeavyLeftover:
     """Tables on which nearly every anchor has an unfinished dimension, so
     the leftover reduction runs with its implicit reducers and stops early
-    at the pair count; numerators are compared with the full reduction."""
+    at the pair count; numerators are compared with the full reduction.
+    The reductions, their columns and their pairs are those the leftover
+    made when it set up one anchor at a time."""
+
+    WORK = {False: (161, 785, 773), True: (165, 806, 789)}  # calls, columns, pairs
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_matches_full_reduction(self, monkeypatch, ties):
         rng = np.random.Generator(np.random.PCG64(20261018))
         ord_arr = random_order_table(rng, 10, 60, ties).ord
         want = reference_lengths(ord_arr, 3)
-        hits = dict(anchors=0, owned=0, early=0)
-        leftover, reduce = estimator._reduce_leftover, estimator.pair_reduction
+        hits = dict(anchors=0, owned=0, early=0, calls=0, columns=0, pairs=0)
+        leftover, reduce = estimator._reduce_chunk, estimator.pair_reduction
 
-        def counted_leftover(*args):
-            hits["anchors"] += 1
-            leftover(*args)
+        def counted_leftover(g, apparent, young, need, faces, out):
+            hits["anchors"] += int(need.any(axis=0).sum())
+            leftover(g, apparent, young, need, faces, out)
 
         def counted_reduce(columns, owned, limit):
             def counted_owned(p):
@@ -207,14 +260,18 @@ class TestHeavyLeftover:
 
             pairs, creators = reduce(columns, counted_owned, limit)
             hits["early"] += len(pairs) + len(creators) < len(columns)
+            hits["calls"] += 1
+            hits["columns"] += len(columns)
+            hits["pairs"] += len(pairs)
             return pairs, creators
 
-        monkeypatch.setattr(estimator, "_reduce_leftover", counted_leftover)
+        monkeypatch.setattr(estimator, "_reduce_chunk", counted_leftover)
         monkeypatch.setattr(estimator, "pair_reduction", counted_reduce)
         _, per_column = _lk_from_order(ord_arr, 3)
         assert np.array_equal(per_column, want)
         assert hits["anchors"] >= 54  # nine in ten of the 60 anchors
         assert hits["owned"] > 0 and hits["early"] > 0
+        assert (hits["calls"], hits["columns"], hits["pairs"]) == self.WORK[ties]
 
 
 class TestStoppingRulePremise:
@@ -247,18 +304,18 @@ class TestStoppingRulePremise:
         a = data.draw(st.integers(1, n))
         faces = subset_tables(m, max_size)
         masks = [sum(1 << v for v in vs) for vs in face_list(m, max_size)]
-        S = len(masks)
-        births, _ = ray_births(T, a, max_size)
-        key = births[:, None] * S + np.arange(S)[:, None]
-        young, apparent = _apparent_pairs(key, faces)
+        births, tmax = ray_births(T, a, max_size)
+        gaps = (tmax - births)[:, None].astype(np.int16)
+        apparent, slot, _, _ = _apparent(gaps, faces)
+        young = np.take_along_axis(faces.facet_table, slot, axis=1)
 
         F = ray_filtration(T, a, max_size - 1)
         pos = {f: j for j, (_, f) in enumerate(F.entries)}
-        assert [masks[k] for k in np.argsort(key[:, 0])] == [f for _, f in F.entries]
+        assert [masks[k] for k in np.argsort(births, kind="stable")] == [f for _, f in F.entries]
         pairs, _ = pair_reduction(_boundary_columns(F)[0])
         found = 0
         for i in np.flatnonzero(apparent[:, 0]):
-            sigma = masks[young[i, 0] % S]
+            sigma = masks[young[i, 0]]
             tau = masks[m + i]
             assert pairs[pos[sigma]] == pos[tau]
             found += 1
