@@ -80,13 +80,13 @@ def _requested_threads(value: int | None) -> int | None:
     when neither is given.  Validated and reported, but replicates run
     one after another whatever it is."""
     if value is not None:
-        return max(1, value)
+        return value
     env = os.environ.get("QCSENSE_THREADS")
     if env:
         try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"QCSENSE_THREADS must be an integer, got {env!r}")
+            return _positive_int(env)
+        except argparse.ArgumentTypeError as e:
+            raise ValueError(f"QCSENSE_THREADS {e}") from None
     return None
 
 

@@ -18,11 +18,12 @@ vector that some column b still sits under on sigma.  `subset_gaps`
 computes every gap of a block of columns at once, against a possibly
 different table (the interleaving distance reads the same gaps between
 two tables).  The max needs only C, the columns no other column beats
-in every row.  Faces of size 1 and 2 have closed forms: a row minimum,
-and the crossing point on a 2-D staircase.  A larger face takes the gap
-of its youngest facet whenever that facet's witness column also covers
-the one added row; only the (face, column) cells where it does not are
-scanned over C.  `ray_births` is the same computation for one column.
+in every row, and callers pass that front as the other table.  Faces of
+size 1 and 2 have closed forms: a row minimum, and the crossing point on
+a 2-D staircase.  A larger face takes the gap of its youngest facet
+whenever that facet's witness column also covers the one added row; only
+the (face, column) cells where it does not are scanned over C.
+`ray_births` is the same computation for one column.
 """
 
 from __future__ import annotations
@@ -452,13 +453,15 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
     gaps[k, j] = max_b min_{i in sigma_k} (src[i, a] - dst[i, b]) for the
     block's j-th column a and subset sigma_k of subset_tables(m, max_size).
 
-    The max runs over C, the columns of dst that no other column strictly
-    beats in every row.  Any b outside C is beaten in all m rows, hence on
-    sigma, by some b' in C, and src[i, a] - dst[i, b'] is larger in every
-    row whatever src is: the max over C equals the max over all columns
-    of dst, for src = dst and src != dst alike.  Beside each gap the loop
-    keeps a witness, a column of C attaining it, and it fills the faces
-    by size:
+    The max runs over the columns C of dst, and callers pass as dst only
+    the Pareto front of their table (`central.undominated_columns`): the
+    columns that no other column strictly beats in every row.  Any b
+    outside the front is beaten in all m rows, hence on sigma, by some b'
+    on it, and src[i, a] - dst[i, b'] is larger in every row whatever src
+    is: the max over the front equals the max over all columns, for
+    src = dst and src != dst alike.  Any dst gives the same gaps, the
+    front only fewer columns to scan.  Beside each gap the loop keeps a
+    witness, a column of C attaining it, and it fills the faces by size:
 
     - size 1: the gap of {v} is src[v, a] - min_b dst[v, b], witnessed by
       the column of that minimum;
@@ -487,7 +490,7 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
     faces = subset_tables(m, max_size)
     start = faces.start
     work = np.result_type(src, dst)  # holds every difference src - dst
-    front = dst[:, undominated_columns(dst)].astype(work)
+    front = np.ascontiguousarray(dst, dtype=work)
     wit_type = np.int16 if front.shape[1] < 2**15 else np.int32
     low_at = front.argmin(axis=1)
     low = front[np.arange(m), low_at]
@@ -555,7 +558,7 @@ def ray_births(T: OrderTable, a: int, max_size: int) -> tuple[np.ndarray, int]:
     if not (1 <= a <= T.n):
         raise ValueError(f"column {a} out of range [1..{T.n}]")
     tmax = int(T.ord[:, a - 1].max())
-    (_, gaps), = subset_gaps(T.ord[:, [a - 1]], T.ord, max_size)
+    (_, gaps), = subset_gaps(T.ord[:, [a - 1]], T.ord[:, undominated_columns(T.ord)], max_size)
     return tmax - gaps[:, 0], tmax
 
 

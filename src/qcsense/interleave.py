@@ -28,6 +28,17 @@ rank-1 column has least shift beta - alpha.  The min over b may skip
 every column of dst that another column beats in all rows, since the
 beating column needs a smaller shift on every sigma: the Pareto front of
 dst suffices.
+
+The max over a may skip the same columns of src.  If a' beats a in every
+row, then alpha*ord_src[i,a'] < alpha*ord_src[i,a] for all i, so every
+term of the least shift max_i (beta*ord_dst[i,b] - alpha*ord_src[i,a])
+only grows when a' replaces a: a' needs at least the shift of a on every
+sigma, and whatever shift covers a' covers a.  Strict beating is a strict
+order on finitely many columns, so a column off the front is beaten by
+one on it, ties or not.  Both directions therefore run over the two
+Pareto fronts only, and the numerator is the same as over every column.
+Each front is taken once (a positive factor keeps it, so before the
+scaling) and serves as src in one direction and as dst in the other.
 """
 
 from __future__ import annotations
@@ -37,12 +48,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .central import undominated_columns
 from .dowker import subset_gaps, subset_tables
 from .ingest import DataMatrix, OrderTable, order_table
 
-# The check runs 2^m - 1 faces per column against the other table's front,
-# which also grows with m: n_a=2000 against n_b=1000 takes about 0.02 s at
-# m=4, 0.4-1 s at m=8 and 2-7 s at m=10 on a 2-core machine.
+# The check runs up to 2^m - 1 faces per front column against the other
+# front, and fronts grow with m.  n_a=2000 against n_b=1000, drawn as in
+# the interleave-m4 benchmark (d=2), takes about 4 ms at skeleton 0 and
+# 6 ms at the full skeleton for m=4, and 7.5 ms and 35 ms for m=8, on a
+# 2-core machine.  Anti-correlated rows put every column on the front:
+# m=8 at the full skeleton then takes 1.5-1.8 s.
 MAX_ROWS = 8
 
 
@@ -53,8 +68,11 @@ class InterleaveResult:
     ``distance`` equals ``numerator / denominator`` where the denominator
     is lcm(n_a, n_b); ``certificate`` counts the generator grades verified
     in each direction (A into shifted B, B into shifted A) at the reported
-    shift.  The true infimum over real shifts lies in
-    (distance - 1/denominator, distance].
+    shift: every (face, column) pair, faces times n_a resp. n_b.  Only the
+    Pareto front columns are computed; a generator off the front is
+    verified through a front column that beats its column in every row,
+    whose least shift is at least its own.  The true infimum over real
+    shifts lies in (distance - 1/denominator, distance].
     """
 
     distance: float
@@ -93,6 +111,16 @@ def _as_table(X) -> OrderTable:
     raise TypeError("expected an OrderTable or DataMatrix")
 
 
+def _scaled_front(T: OrderTable, dtype, scale: int) -> np.ndarray:
+    """The Pareto front columns of T's ranks, times scale.  A positive
+    factor keeps the front, so only its columns are scaled; the full
+    table is cast once, to the narrow dtype, for the dominance pass."""
+    ranks = T.ord.astype(dtype)
+    front = ranks[:, undominated_columns(ranks)]
+    front *= scale
+    return front
+
+
 def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult:
     """Smallest merged-grid shift with mutual inclusion of the two filtrations.
 
@@ -120,11 +148,11 @@ def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult
     lcm = math.lcm(n_a, n_b)
     # scaled ranks lie in [1, lcm], their differences in (-lcm, lcm)
     dtype = np.int32 if lcm < 2**30 else np.int64
-    scaled_a = TA.ord.astype(dtype) * (lcm // n_a)
-    scaled_b = TB.ord.astype(dtype) * (lcm // n_b)
+    front_a = _scaled_front(TA, dtype, lcm // n_a)
+    front_b = _scaled_front(TB, dtype, lcm // n_b)
     numerator = -min(
         int(gaps.min())
-        for src, dst in ((scaled_a, scaled_b), (scaled_b, scaled_a))
+        for src, dst in ((front_a, front_b), (front_b, front_a))
         for _, gaps in subset_gaps(src, dst, max_size)
     )
     checked = subset_tables(m, max_size).start[-1]

@@ -313,10 +313,12 @@ class TestParser:
         assert json.loads(reports[0])["params"]["threads"] is None
 
     def test_invalid_threads_env_exits_2(self, capsys, example_csv, monkeypatch):
-        monkeypatch.setenv("QCSENSE_THREADS", "soon")
-        code, _, err = run_cli(capsys, self.SUBSAMPLE + ["--input", example_csv])
-        assert code == 2
-        assert "QCSENSE_THREADS" in err
+        # rejected like --threads: not an integer, or below 1
+        for value in ("soon", "0", "-2"):
+            monkeypatch.setenv("QCSENSE_THREADS", value)
+            code, _, err = run_cli(capsys, self.SUBSAMPLE + ["--input", example_csv])
+            assert code == 2
+            assert "QCSENSE_THREADS" in err and value in err
 
 
 class TestInstalledEntryPoint:

@@ -17,7 +17,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcsense import DataMatrix, interleaving_distance, order_table
-from qcsense.dowker import dowker_at
+from qcsense.central import undominated_columns
+from qcsense.dowker import BLOCK, dowker_at
 from qcsense.interleave import MAX_ROWS, InterleaveResult, _as_table
 
 from conftest import random_order_table, random_tie_free_matrix
@@ -221,6 +222,71 @@ class TestAgainstBinarySearch:
         res = interleaving_distance(A, B)
         assert (res.numerator, res.denominator) == (1, 50_000 * 49_999)
         assert res.distance == 1 / (50_000 * 49_999)
+
+
+def _anti_correlated(rng, m: int, n: int, ties: bool) -> DataMatrix:
+    """The last row is minus the sum of the others, so a column beaten in
+    the first m - 1 rows wins the last: nearly every column is on the
+    front (ties come from few integer levels)."""
+    if ties:
+        vals = rng.integers(0, 30, size=(m, n)).astype(float)
+    else:
+        vals = rng.standard_normal((m, n))
+    vals[-1] = -vals[:-1].sum(axis=0)
+    return DataMatrix(vals, check_ties=False)
+
+
+def _one_winner(rng, m: int, n: int, ties: bool) -> DataMatrix:
+    """Column n // 2 is below every other column in every row."""
+    if ties:
+        vals = rng.integers(1, 4, size=(m, n)).astype(float)
+    else:
+        vals = rng.standard_normal((m, n))
+    vals[:, n // 2] = vals.min(axis=1) - 1.0
+    return DataMatrix(vals, check_ties=False)
+
+
+class TestParetoFronts:
+    """Both directions run over the Pareto fronts only: fronts wider than
+    one `subset_gaps` block, a one-column front, and fronts holding tied
+    columns, against the binary search over every column at every
+    skeleton."""
+
+    @staticmethod
+    def _check_every_skeleton(TA, TB):
+        for skeleton in range(TA.m):
+            got = interleaving_distance(TA, TB, skeleton=skeleton).to_json_obj()
+            assert got == binary_search_distance(TA, TB, skeleton=skeleton).to_json_obj()
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_front_wider_than_a_block(self, m, ties):
+        rng = np.random.Generator(np.random.PCG64(40 + m))
+        TA = order_table(_anti_correlated(rng, m, 300, ties))
+        TB = order_table(_anti_correlated(rng, m, 260, ties))
+        assert undominated_columns(TA.ord).size > BLOCK
+        assert undominated_columns(TB.ord).size > BLOCK
+        self._check_every_skeleton(TA, TB)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_one_column_front(self, ties):
+        rng = np.random.Generator(np.random.PCG64(50))
+        TA = order_table(_one_winner(rng, 4, 30, ties))
+        TB = random_order_table(rng, 4, 24, ties)
+        assert undominated_columns(TA.ord).tolist() == [15]
+        self._check_every_skeleton(TA, TB)
+        self._check_every_skeleton(TB, TA)
+
+    @pytest.mark.parametrize("partner_ties", [False, True])
+    def test_front_with_tied_columns(self, partner_ties):
+        rng = np.random.Generator(np.random.PCG64(60))
+        M = DataMatrix(rng.integers(0, 3, size=(3, 36)).astype(float), check_ties=False)
+        TA = order_table(M)
+        front = M.values[:, undominated_columns(TA.ord)]
+        # two front columns share a value in some row
+        assert any(np.unique(row).size < row.size for row in front)
+        TB = random_order_table(rng, 3, 28, partner_ties)
+        self._check_every_skeleton(TA, TB)
 
 
 class TestAgainstBruteForce:
