@@ -49,21 +49,7 @@ from .central import (
 from .geometry import (
     RegularPairSpec,
     PointCloud,
-    ConeClass,
-    Cent1Result,
-    McEstimate,
     sample_pair,
-    hull_membership,
-    hull_distances,
-    check_sequence_realizable,
-    realize_function,
-    cone_classify,
-    cone_classify_sampled,
-    cent1_membership,
-    cent0_predicate,
-    general_direction_check,
-    mc_measure,
-    simplex_with_barycenter,
 )
 from .interleave import InterleaveResult, interleaving_distance
 
@@ -103,21 +89,7 @@ __all__ = [
     "completeness_test",
     "RegularPairSpec",
     "PointCloud",
-    "ConeClass",
-    "Cent1Result",
-    "McEstimate",
     "sample_pair",
-    "hull_membership",
-    "hull_distances",
-    "check_sequence_realizable",
-    "realize_function",
-    "cone_classify",
-    "cone_classify_sampled",
-    "cent1_membership",
-    "cent0_predicate",
-    "general_direction_check",
-    "mc_measure",
-    "simplex_with_barycenter",
     "InterleaveResult",
     "interleaving_distance",
     "__version__",

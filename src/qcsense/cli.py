@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -276,7 +277,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.  Each
+    `cmd_*` resolves the library functions it calls when it runs."""
     parser = argparse.ArgumentParser(
         prog="qcsense",
         description=(

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,27 +55,7 @@ MAX_FACES = 2**19
 
 GRID_SNAP = 1e-9  # rescue k/n thresholds from float round-off
 
-Grades = Union["GradeVector", Sequence[float]]
-
-
-@dataclass(frozen=True)
-class GradeVector:
-    """Length-m vector of filtration parameters, each in [0, 1]."""
-
-    t: tuple[float, ...]
-
-    def __post_init__(self):
-        t = tuple(float(x) for x in self.t)
-        for x in t:
-            if not (0.0 <= x <= 1.0):
-                raise ValueError(f"grade {x!r} outside [0, 1]")
-        object.__setattr__(self, "t", t)
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __iter__(self):
-        return iter(self.t)
+Grades = Sequence[float]
 
 
 def _coerce_grades(t: Grades, m: int) -> tuple[float, ...]:
@@ -181,41 +161,6 @@ def dowker_at(T: OrderTable, t: Grades, skeleton: int | None = None) -> Simplici
     return SimplicialComplex.from_witnesses(T.m, (int(w) for w in witness), skeleton)
 
 
-def dowker_at_nerve(
-    T: OrderTable, t: Grades, skeleton: int | None = None
-) -> SimplicialComplex:
-    """Same complex as `dowker_at`, assembled as the nerve of the column
-    sets A_i(t_i) = {a : ord_i(a) <= n*t_i}.  Cross-check construction;
-    enumerates row subsets, so intended for small m."""
-    if T.m > 16:
-        raise ValueError("nerve-form evaluation is limited to m <= 16")
-    if skeleton is None:
-        skeleton = T.m - 1
-    r = _int_thresholds(T, t)
-    below = T.ord <= r[:, None]
-    faces: set[int] = set()
-    rows = range(T.m)
-    for size in range(1, min(T.m, skeleton + 1) + 1):
-        for comb in combinations(rows, size):
-            if below[list(comb)].all(axis=0).any():
-                mask = 0
-                for i in comb:
-                    mask |= 1 << i
-                faces.add(mask)
-    return SimplicialComplex(T.m, frozenset(faces), skeleton)
-
-
-def hat_R_n(T: OrderTable, t: Grades) -> float:
-    """Fraction of columns whose whole rank vector sits under t.
-
-    Monotone in every coordinate, valued in {0, 1/n, ..., 1}.  A face sigma
-    belongs to the complex at t exactly when this fraction is nonzero after
-    replacing the coordinates outside sigma by 1.
-    """
-    r = _int_thresholds(T, t)
-    return float((T.ord <= r[:, None]).all(axis=0).mean())
-
-
 @dataclass(frozen=True)
 class Filtration:
     """One-parameter filtration on the 1/denominator grade grid.
@@ -261,13 +206,6 @@ class Filtration:
                     raise ValueError("face born after one of its cofaces")
             born[f] = g
             prev = g
-
-    @property
-    def t_end(self) -> float:
-        return self.t_end_numer / self.denominator
-
-    def grades(self) -> tuple[float, ...]:
-        return tuple(g / self.denominator for g, _ in self.entries)
 
     def complex_at(self, grade: float, skeleton: int | None = None) -> SimplicialComplex:
         cutoff = math.floor(grade * self.denominator + GRID_SNAP)

@@ -119,23 +119,11 @@ class SubsampleResult:
     subsample_size: int
     reps: int
     seed: int
-    generator: str = GENERATOR_NAME
 
     def replicates_csv(self) -> str:
         header = ",".join(f"L{k}" for k in range(self.d_up + 1))
         rows = [",".join(repr(float(x)) for x in row) for row in self.replicates]
         return header + "\n" + "\n".join(rows) + "\n"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "mode": self.mode,
-            "boxplots": {str(k): bp.to_json_obj() for k, bp in self.boxplots.items()},
-            "d_up": self.d_up,
-            "size": self.subsample_size,
-            "reps": self.reps,
-            "seed": self.seed,
-            "generator": self.generator,
-        }
 
 
 def default_d_up(m: int) -> int:

@@ -9,9 +9,8 @@ exact ties by column index instead of rejecting them).
 from __future__ import annotations
 
 import errno
-import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, TextIO, Union
 
 import numpy as np
@@ -62,7 +61,8 @@ class DataMatrix:
 
     `warnings` records load-time notes (tie-breaking, resampling).  Tie
     validation can be waived for matrices whose ranks are made
-    deterministic some other way (the column-index tie break).
+    deterministic some other way (the column-index tie break).  The tie
+    check's row sort is kept for the first `order_table` call.
     """
 
     values: np.ndarray
@@ -75,6 +75,7 @@ class DataMatrix:
         if v.shape[0] < 1 or v.shape[1] < 1:
             raise IngestError(f"matrix must be at least 1x1, got {v.shape}")
         _check_finite(v)
+        order = None
         if check_ties:
             order, tied = sort_rows(v)
             if tied.any():  # the first tied row and its smallest tied value
@@ -84,6 +85,7 @@ class DataMatrix:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "warnings", tuple(warnings))
+        object.__setattr__(self, "_order", order)
 
     @property
     def m(self) -> int:
@@ -229,7 +231,10 @@ def sort_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def rank_rows(values: np.ndarray) -> np.ndarray:
     """1-based int64 ranks within each row, ties by column index."""
-    order, _ = sort_rows(values)
+    return _ranks(sort_rows(values)[0])
+
+
+def _ranks(order: np.ndarray) -> np.ndarray:
     ranks = np.empty(order.shape, dtype=np.int64)
     np.put_along_axis(ranks, order, np.arange(1, order.shape[1] + 1), axis=1)
     return ranks
@@ -237,5 +242,9 @@ def rank_rows(values: np.ndarray) -> np.ndarray:
 
 def order_table(M: DataMatrix) -> OrderTable:
     """Rank every row of M.  Exact ties, possible only in matrices loaded
-    under the tie-breaking policy, go to the lower column index."""
-    return OrderTable(rank_rows(M.values))
+    under the tie-breaking policy, go to the lower column index.  The
+    first call on a tie-checked matrix ranks from the tie check's sort and
+    lets it go, so such a matrix is sorted once."""
+    order = M._order
+    object.__setattr__(M, "_order", None)
+    return OrderTable(rank_rows(M.values) if order is None else _ranks(order))

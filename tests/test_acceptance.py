@@ -17,28 +17,29 @@ import pytest
 from qcsense import (
     DataMatrix,
     RegularPairSpec,
-    cent0_predicate,
-    check_sequence_realizable,
     compute_Lk,
     decide_dimension,
     discretized_central_region,
     dowker,
     estimator,
-    hull_membership,
     interleaving_distance,
     load_matrix,
-    mc_measure,
     order_table,
     persistence_intervals,
     ray_filtration,
-    realize_function,
     sample_pair,
-    simplex_with_barycenter,
     subsample_points,
 )
-from qcsense.persistence import betti_numbers_by_elimination
-
 from conftest import ACCEPTANCE_LINES, EXAMPLE_CSV, random_tie_free_matrix
+from oracles.geometry import (
+    cent0_predicate,
+    check_sequence_realizable,
+    hull_membership,
+    mc_measure,
+    realize_function,
+    simplex_with_barycenter,
+)
+from oracles.persistence import betti_numbers_by_elimination
 
 pytestmark = pytest.mark.acceptance
 

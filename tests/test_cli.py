@@ -321,6 +321,21 @@ class TestParser:
             assert "QCSENSE_THREADS" in err and value in err
 
 
+    def test_one_process_matches_separate_runs(self, capsys, example_csv):
+        # main builds its parser once per process: two subcommands run in
+        # this process print what two fresh processes print
+        calls = [["analyze", "--input", example_csv, "--dup", "1"],
+                 ["central", "--input", example_csv]]
+        together = [run_cli(capsys, argv)[1] for argv in calls]
+        apart = [
+            subprocess.run([sys.executable, "-m", "qcsense.cli", *argv],
+                           capture_output=True, text=True, check=True).stdout
+            for argv in calls
+        ]
+        assert together == apart
+        assert build_parser() is build_parser()
+
+
 class TestInstalledEntryPoint:
     def test_console_script_runs(self, example_csv):
         proc = subprocess.run(

@@ -20,14 +20,12 @@ from qcsense.central import undominated_columns
 from qcsense.dowker import (
     BLOCK,
     MAX_ROWS,
-    GradeVector,
-    dowker_at_nerve,
-    hat_R_n,
     subset_gaps,
     subset_tables,
 )
 
 from conftest import assert_tie_break_order, face_list, prefix_gaps, random_order_table
+from oracles.dowker import GradeVector, dowker_at_nerve, hat_R_n
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcsense.exactlp import (
+from oracles.exactlp import (
     convex_combination,
     feasible_nonneg,
     feasible_system,

@@ -14,9 +14,12 @@ from qcsense import (
     NonFiniteError,
     NonNumericFieldError,
     RaggedRowsError,
+    compute_Lk,
     load_matrix,
     order_table,
 )
+from qcsense import ingest
+from qcsense.cli import main
 from qcsense.ingest import rank_rows, sort_rows
 
 from conftest import EXAMPLE_CSV
@@ -264,3 +267,46 @@ class TestSortRows:
     def test_tied_columns_match_row_loop(self, values):
         order, tied = sort_rows(values)
         assert np.unique(order[:, 1:][tied]).tolist() == tied_columns_loop(values)
+
+
+class TestOneSortPerMatrix:
+    """A tie-checked matrix is ranked from its tie check's row sort."""
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        calls = []
+
+        def counted(values):
+            calls.append(values.shape)
+            return sort_rows(values)
+
+        monkeypatch.setattr(ingest, "sort_rows", counted)
+        return calls
+
+    def test_compute_lk_on_loaded_matrix_sorts_once(self, sorts):
+        compute_Lk(load_matrix(EXAMPLE_CSV))
+        assert len(sorts) == 1
+
+    def test_interleave_on_two_csvs_sorts_twice(self, sorts, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(EXAMPLE_CSV)
+        b.write_text("1,2,3\n3,1,2\n")
+        assert main(["interleave", "--a", str(a), "--b", str(b)]) == 0
+        assert sorts == [(2, 4), (2, 3)]
+
+    def test_table_matches_a_fresh_sort(self, sorts):
+        values = np.random.default_rng(5).permutation(60).reshape(3, 20)
+        M = DataMatrix(values)
+        first, second = order_table(M), order_table(M)
+        assert len(sorts) == 2  # the tie check's sort serves the first call only
+        assert np.array_equal(first.ord, rank_rows(values))
+        assert np.array_equal(second.ord, first.ord)
+
+    def test_unchecked_matrices_still_sort_in_order_table(self, sorts):
+        tied = "1,1,2\n3,2,2\n"
+        M = load_matrix(tied, tie_policy="break-by-column-index")
+        assert len(sorts) == 1  # the tie scan for the warning
+        assert order_table(M).ord.tolist() == [[1, 2, 3], [3, 1, 2]]
+        assert len(sorts) == 2
+        order_table(DataMatrix([[2.0, 1.0]], check_ties=False))
+        assert len(sorts) == 3

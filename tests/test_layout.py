@@ -1,0 +1,45 @@
+"""The package holds the library only, and its surface is what the README says."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import qcsense
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qcsense"
+TEST_ONLY = {"oracles", "fractions", "hypothesis"}
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in one file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_library_imports_no_test_code():
+    found = {p.name: imported_modules(p) & TEST_ONLY for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: mods for name, mods in found.items() if mods} == {}
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in qcsense.__all__ if not hasattr(qcsense, name)]
+    assert missing == []
+    assert len(set(qcsense.__all__)) == len(qcsense.__all__)
+
+
+def test_readme_layout_lists_the_modules():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Repository layout", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    # the indented lines under src/qcsense/, up to the next top-level entry
+    entries = re.search(r"^src/qcsense/\n((?:  .*\n)*)", block, re.M).group(1)
+    listed = [line.split()[0] for line in entries.splitlines()]
+    assert sorted(listed) == sorted(p.name for p in PACKAGE.glob("*.py"))

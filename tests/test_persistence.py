@@ -18,9 +18,10 @@ from qcsense import (
     persistence_intervals,
     ray_filtration,
 )
-from qcsense.persistence import betti_numbers_by_elimination, pair_reduction
+from qcsense.persistence import pair_reduction
 
 from conftest import random_tie_free_matrix
+from oracles.persistence import betti_numbers_by_elimination
 
 
 class TestPairReduction:
