@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -36,7 +35,7 @@ from .geometry import RegularPairSpec, sample_pair
 from .ingest import DataMatrix, load_matrix
 from .interleave import interleaving_distance
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _positive_float(text: str) -> float:
@@ -76,21 +75,6 @@ def _load_input(path_str: str) -> tuple[DataMatrix, str]:
     return load_matrix(data), digest
 
 
-def _requested_threads(value: int | None) -> int | None:
-    """The thread count asked for by --threads or QCSENSE_THREADS; None
-    when neither is given.  Validated and reported, but replicates run
-    one after another whatever it is."""
-    if value is not None:
-        return value
-    env = os.environ.get("QCSENSE_THREADS")
-    if env:
-        try:
-            return _positive_int(env)
-        except argparse.ArgumentTypeError as e:
-            raise ValueError(f"QCSENSE_THREADS {e}") from None
-    return None
-
-
 def _report(command: str, params: dict, input_digest, seed, result, warnings) -> dict:
     return {
         "schema": SCHEMA,
@@ -108,9 +92,9 @@ def _report(command: str, params: dict, input_digest, seed, result, warnings) ->
 
 def _emit(report: dict, output: str | None, strict: bool) -> int:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
-    if output:
+    if output:  # first, so a failed write leaves stdout empty
         Path(output).write_text(text)
+    sys.stdout.write(text)
     if strict and report["warnings"]:
         return 1
     return 0
@@ -156,7 +140,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_subsample(args) -> int:
     matrix, digest = _load_input(args.input)
-    requested = _requested_threads(args.threads)
     progress = _stderr_progress(f"subsample[{args.mode}]", args.reps)
     runner = subsample_points if args.mode == "points" else subsample_functions
     res = runner(
@@ -193,7 +176,6 @@ def cmd_subsample(args) -> int:
         "reps": args.reps,
         "dup": res.d_up,
         "seed": args.seed,
-        "threads": requested,  # null when none was given, so reports match across machines
     }
     report = _report("subsample", params, digest, args.seed, result, matrix.warnings)
     return _emit(report, args.output, args.strict)
@@ -306,6 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_positive_int, default=100)
     p.add_argument("--dup", type=_nonneg_int, default=None)
     p.add_argument("--seed", type=int, default=0)
+    # Ignored: replicates run one after another.  perfbench's subsample
+    # jobs still pass it; the line goes when they stop.
     p.add_argument("--threads", type=_positive_int, default=None)
     p.add_argument("--replicates-csv", help="path for the raw replicate CSV")
     _add_common(p)

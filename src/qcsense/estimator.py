@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -83,18 +83,16 @@ class BoxplotSummary:
     lower_whisker: float
     upper_whisker: float
     outliers: tuple[float, ...]
-    n_replicates: int
-    subsample_size: int
 
     @classmethod
-    def from_values(cls, values: np.ndarray, subsample_size: int) -> "BoxplotSummary":
+    def from_values(cls, values: np.ndarray) -> "BoxplotSummary":
         vals = np.asarray(values, dtype=np.float64)
         q1, q2, q3 = (float(q) for q in np.quantile(vals, [0.25, 0.5, 0.75]))
         iqr = q3 - q1
         lw = q1 - 1.5 * iqr
         uw = q3 + 1.5 * iqr
         outliers = tuple(float(v) for v in np.sort(vals[(vals < lw) | (vals > uw)]))
-        return cls(q1, q2, q3, iqr, lw, uw, outliers, int(vals.size), subsample_size)
+        return cls(q1, q2, q3, iqr, lw, uw, outliers)
 
     def to_json_obj(self) -> dict:
         return {
@@ -118,7 +116,6 @@ class SubsampleResult:
     d_up: int
     subsample_size: int
     reps: int
-    seed: int
 
     def replicates_csv(self) -> str:
         header = ",".join(f"L{k}" for k in range(self.d_up + 1))
@@ -395,7 +392,7 @@ def subsample_points(
         rows.append(L_num / float(n_s))
         if progress is not None:
             progress(len(rows), reps)
-    return _summarize(np.vstack(rows), "points", d_up, n_s, reps, seed)
+    return _summarize(np.vstack(rows), "points", d_up, n_s, reps)
 
 
 def subsample_functions(
@@ -426,30 +423,21 @@ def subsample_functions(
         rows.append(L_num / float(M.n))
         if progress is not None:
             progress(len(rows), reps)
-    return _summarize(np.vstack(rows), "functions", d_up, m_s, reps, seed)
+    return _summarize(np.vstack(rows), "functions", d_up, m_s, reps)
 
 
-def _summarize(
-    table: np.ndarray, mode: str, d_up: int, size: int, reps: int, seed: int
-) -> SubsampleResult:
+def _summarize(table: np.ndarray, mode: str, d_up: int, size: int, reps: int) -> SubsampleResult:
     table.setflags(write=False)
-    boxplots = {
-        k: BoxplotSummary.from_values(table[:, k], size) for k in range(d_up + 1)
-    }
-    return SubsampleResult(mode, table, boxplots, d_up, size, reps, seed)
+    boxplots = {k: BoxplotSummary.from_values(table[:, k]) for k in range(d_up + 1)}
+    return SubsampleResult(mode, table, boxplots, d_up, size, reps)
 
 
-def decide_dimension(
-    summaries: Mapping[int, BoxplotSummary] | Iterable[BoxplotSummary],
-) -> EstimateResult:
+def decide_dimension(summaries: Mapping[int, BoxplotSummary]) -> EstimateResult:
     """Subsampled lower bound: accept dimension-k signal only when the
     first quartile of the L_k replicates is strictly positive, and return
-    1 + the largest accepted k (0 with 'no-signal' if none)."""
-    if isinstance(summaries, Mapping):
-        items = sorted(summaries.items())
-    else:
-        items = list(enumerate(summaries))
-    accepted = [k for k, bp in items if bp.q1 > 0]
+    1 + the largest accepted k (0 with 'no-signal' if none).  summaries
+    maps each k to its boxplot, as `SubsampleResult.boxplots` does."""
+    accepted = [k for k, bp in summaries.items() if bp.q1 > 0]
     if not accepted:
         return EstimateResult(0, ("no-signal",))
     return EstimateResult(1 + max(accepted), ())

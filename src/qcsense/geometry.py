@@ -23,6 +23,8 @@ QUADRATIC_EIGENVALUE_RANGE = (0.5, 2.0)
 # Quadratic centers are drawn uniformly from a ball of this radius, so
 # every minimum sits inside the sampling domain.
 CENTER_RADIUS = 0.8
+# `sample_pair` gives up after this many redraws of tied points.
+MAX_RESAMPLE = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +187,6 @@ def sample_pair(
     spec: RegularPairSpec,
     n: int,
     seed: int | None = None,
-    max_resample: int = 100,
 ) -> tuple[PointCloud, DataMatrix]:
     """Sample n ball points and evaluate the family on them.
 
@@ -200,7 +201,7 @@ def sample_pair(
     rng = np.random.Generator(np.random.PCG64(use_seed))
     pts = _ball_points(rng, n, spec.d)
     notes: list[str] = []
-    for attempt in range(max_resample):
+    for _ in range(MAX_RESAMPLE):
         vals = spec.evaluate(pts)
         order, tied = sort_rows(vals)
         cols = np.unique(order[:, 1:][tied])  # the later column of each tied pair

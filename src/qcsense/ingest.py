@@ -27,7 +27,7 @@ class NonNumericFieldError(IngestError):
         self.row, self.col, self.text = row, col, text
         super().__init__(
             f"non-numeric field {text!r} at row {row}, column {col}"
-            " (pass skip_header=True if the first line is a header)"
+            " (load_matrix(skip_header=True) skips a header line)"
             if row == 1
             else f"non-numeric field {text!r} at row {row}, column {col}"
         )
@@ -44,8 +44,8 @@ class DuplicateInRowError(IngestError):
         self.row, self.value = row, value
         super().__init__(
             f"row {row} contains the repeated value {value!r}; rank order is"
-            " ambiguous (tie_policy='break-by-column-index' orders ties by"
-            " column instead)"
+            " ambiguous (load_matrix(tie_policy='break-by-column-index')"
+            " orders ties by column instead)"
         )
 
 
@@ -133,16 +133,16 @@ class OrderTable:
 
 
 def _read_text(source: Source) -> str:
-    if isinstance(source, str):
-        # A str is CSV text if it looks like one, else a path (or a number).
+    if isinstance(source, str) and not os.path.exists(source):
+        # A str naming no file is CSV text if it looks like one, else a
+        # missing path (or a number).
         if "\n" in source or "," in source or not source.strip():
             return source
-        if not os.path.exists(source):
-            try:
-                float(source)
-            except ValueError:
-                raise FileNotFoundError(errno.ENOENT, "no such file", source) from None
-            return source
+        try:
+            float(source)
+        except ValueError:
+            raise FileNotFoundError(errno.ENOENT, "no such file", source) from None
+        return source
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             source = fh.read()
@@ -161,8 +161,9 @@ def load_matrix(
     tie_policy: 'reject' fails on any repeated value within a row;
     'break-by-column-index' keeps the matrix and orders exact ties by
     ascending column index, recording a warning.  A leading header line is
-    an error unless skip_header strips it.  A str with no comma or newline
-    that names no file and is no number raises FileNotFoundError.
+    an error unless skip_header strips it.  A str naming an existing file
+    is read from that file; any other str is CSV text, except that one
+    with no comma or newline that is no number raises FileNotFoundError.
     """
     if tie_policy not in ("reject", "break-by-column-index"):
         raise IngestError(f"unknown tie_policy {tie_policy!r}")

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +52,7 @@ class TestAnalyze:
         assert code == 0
         report = json.loads(out)
         assert set(report) == REPORT_KEYS
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["tool"] == "qcsense"
         assert report["command"] == "analyze"
         assert report["seed"] is None and report["generator"] is None
@@ -79,8 +82,7 @@ class TestAnalyze:
         _, second, _ = run_cli(capsys, ["analyze", "--input", example_csv, "--dup", "1"])
         assert first == second
 
-    def test_params_carry_nothing_machine_dependent(self, capsys, example_csv, monkeypatch):
-        monkeypatch.setenv("QCSENSE_THREADS", "3")
+    def test_params_carry_nothing_machine_dependent(self, capsys, example_csv):
         _, out, _ = run_cli(capsys, ["analyze", "--input", example_csv])
         assert set(json.loads(out)["params"]) == {"input", "dup", "epsilon", "per_column"}
         with pytest.raises(SystemExit):
@@ -92,6 +94,24 @@ class TestAnalyze:
             capsys, ["analyze", "--input", example_csv, "--output", str(dest)]
         )
         assert dest.read_text() == out
+
+    def test_unwritable_output_leaves_stdout_empty(self, capsys, example_csv, tmp_path):
+        dest = str(tmp_path / "missing" / "r.json")
+        for argv in (["analyze", "--input", example_csv],
+                     ["interleave", "--a", example_csv, "--b", example_csv]):
+            code, out, err = run_cli(capsys, argv + ["--output", dest])
+            assert (code, out) == (2, "")
+            assert "error:" in err
+
+    def test_input_errors_name_the_library_option(self, capsys, tmp_path):
+        # tie_policy and skip_header are load_matrix arguments, not flags
+        for name, text in (("tied.csv", "1.0,1.0\n2.0,3.0\n"), ("header.csv", "c1,c2\n1.0,2.0\n")):
+            path = tmp_path / name
+            path.write_text(text)
+            code, out, err = run_cli(capsys, ["analyze", "--input", str(path)])
+            assert (code, out) == (2, "")
+            assert "tie_policy" in err or "skip_header" in err
+            assert "load_matrix(" in err
 
     def test_missing_input_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, ["analyze", "--input", str(tmp_path / "nope.csv")])
@@ -294,15 +314,9 @@ class TestParser:
     SUBSAMPLE = ["subsample", "--mode", "functions", "--size", "2", "--reps", "2",
                  "--dup", "0"]
 
-    def test_threads_env_fallback(self, capsys, example_csv, monkeypatch):
-        monkeypatch.setenv("QCSENSE_THREADS", "2")
-        _, out, _ = run_cli(capsys, self.SUBSAMPLE + ["--input", example_csv])
-        assert json.loads(out)["params"]["threads"] == 2
-
     def test_default_threads_report_is_machine_independent(
         self, capsys, example_csv, monkeypatch
     ):
-        monkeypatch.delenv("QCSENSE_THREADS", raising=False)
         reports = []
         for cpus in (1, 8):
             monkeypatch.setattr("os.cpu_count", lambda cpus=cpus: cpus)
@@ -310,16 +324,29 @@ class TestParser:
             assert code == 0
             reports.append(out)
         assert reports[0] == reports[1]
-        assert json.loads(reports[0])["params"]["threads"] is None
+        assert "threads" not in json.loads(reports[0])["params"]
 
-    def test_invalid_threads_env_exits_2(self, capsys, example_csv, monkeypatch):
-        # rejected like --threads: not an integer, or below 1
-        for value in ("soon", "0", "-2"):
-            monkeypatch.setenv("QCSENSE_THREADS", value)
-            code, _, err = run_cli(capsys, self.SUBSAMPLE + ["--input", example_csv])
-            assert code == 2
-            assert "QCSENSE_THREADS" in err and value in err
+    def test_threads_flag_is_ignored(self, capsys, example_csv):
+        argv = self.SUBSAMPLE + ["--input", example_csv]
+        _, plain, _ = run_cli(capsys, argv)
+        code, out, _ = run_cli(capsys, argv + ["--threads", "2"])
+        assert (code, out) == (0, plain)
+        with pytest.raises(SystemExit) as exc:  # still validated
+            main(argv + ["--threads", "0"])
+        assert exc.value.code == 2
 
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = [
+            shlex.split(line)[1:]
+            for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("qcsense ")
+        ]
+        for argv in commands:
+            build_parser().parse_args(argv)
+        assert {argv[0] for argv in commands} == {"analyze", "subsample", "central",
+                                                  "generate", "interleave"}
 
     def test_one_process_matches_separate_runs(self, capsys, example_csv):
         # main builds its parser once per process: two subcommands run in

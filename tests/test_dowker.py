@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qcsense import (
     DataMatrix,
     Filtration,
-    SimplicialComplex,
     dowker_at,
     order_table,
     ray_filtration,

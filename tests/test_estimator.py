@@ -352,7 +352,7 @@ class TestDHatLow:
 class TestBoxplotSummary:
     def test_quartiles_against_interpolation_oracle(self, rng):
         values = rng.random(37)
-        bp = BoxplotSummary.from_values(values, subsample_size=10)
+        bp = BoxplotSummary.from_values(values)
 
         def quantile(vals, q):
             s = np.sort(vals)
@@ -369,12 +369,12 @@ class TestBoxplotSummary:
 
     def test_outliers_strictly_outside(self):
         values = np.array([0.0] * 10 + [5.0])
-        bp = BoxplotSummary.from_values(values, subsample_size=3)
+        bp = BoxplotSummary.from_values(values)
         assert bp.outliers == (5.0,)
         assert all(v > bp.upper_whisker or v < bp.lower_whisker for v in bp.outliers)
 
     def test_single_value(self):
-        bp = BoxplotSummary.from_values(np.array([0.3]), subsample_size=2)
+        bp = BoxplotSummary.from_values(np.array([0.3]))
         assert bp.q1 == bp.q2 == bp.q3 == 0.3
         assert bp.iqr == 0.0
         assert bp.outliers == ()
@@ -465,7 +465,7 @@ class TestDecideDimension:
         out = {}
         for k, q1 in enumerate(q1s):
             # constant replicate vectors give Q1 == the constant
-            out[k] = BoxplotSummary.from_values(np.full(5, q1), subsample_size=3)
+            out[k] = BoxplotSummary.from_values(np.full(5, q1))
         return out
 
     def test_basic(self):

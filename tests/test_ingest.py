@@ -121,6 +121,12 @@ class TestLoadMatrix:
         with pytest.raises(FileNotFoundError, match="missing.csv"):
             load_matrix("missing.csv")
 
+    def test_existing_path_with_comma_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run,2.csv").write_text(EXAMPLE_CSV)
+        assert load_matrix("run,2.csv").values.shape == (2, 4)
+        assert load_matrix("1,2\n").values.tolist() == [[1.0, 2.0]]  # no such file: CSV text
+
     def test_lone_number_is_one_by_one(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert load_matrix("5").values.tolist() == [[5.0]]

@@ -43,3 +43,27 @@ def test_readme_layout_lists_the_modules():
     entries = re.search(r"^src/qcsense/\n((?:  .*\n)*)", block, re.M).group(1)
     listed = [line.split()[0] for line in entries.splitlines()]
     assert sorted(listed) == sorted(p.name for p in PACKAGE.glob("*.py"))
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names one file imports and never reads, apart from those in its
+    `__all__` and `from __future__` imports."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read - exported)
+
+
+def test_every_import_is_used():
+    dirs = (PACKAGE, ROOT / "tests", ROOT / "tests" / "oracles", ROOT / "scripts")
+    found = {str(p.relative_to(ROOT)): unused_imports(p) for d in dirs for p in sorted(d.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcsense import (
-    DataMatrix,
     Filtration,
-    MaxLengths,
     PersistenceDiagram,
     PersistenceInterval,
     max_lengths,
