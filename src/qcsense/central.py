@@ -29,9 +29,6 @@ class CentralReport:
     def fraction(self) -> float:
         return len(self.members) / self.n
 
-    def to_json_obj(self) -> dict:
-        return {"members": sorted(self.members), "fraction": self.fraction}
-
 
 @dataclass(frozen=True)
 class CompletenessResult:

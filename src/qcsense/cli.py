@@ -27,7 +27,6 @@ from .estimator import (
     compute_Lk,
     d_hat_low,
     decide_dimension,
-    default_d_up,
     subsample_functions,
     subsample_points,
 )
@@ -112,8 +111,7 @@ def _stderr_progress(label: str, total: int):
 
 def cmd_analyze(args) -> int:
     matrix, digest = _load_input(args.input)
-    d_up = args.dup if args.dup is not None else default_d_up(matrix.m)
-    profile = compute_Lk(matrix, d_up=d_up, per_column=args.per_column)
+    profile = compute_Lk(matrix, d_up=args.dup, per_column=args.per_column)
     estimate = d_hat_low(profile, args.epsilon)
     result = {
         "m": profile.m,
@@ -130,7 +128,7 @@ def cmd_analyze(args) -> int:
         }
     params = {
         "input": args.input,
-        "dup": d_up,
+        "dup": profile.d_up,
         "epsilon": args.epsilon,
         "per_column": bool(args.per_column),
     }
@@ -178,7 +176,12 @@ def cmd_subsample(args) -> int:
         "seed": args.seed,
     }
     report = _report("subsample", params, digest, args.seed, result, matrix.warnings)
-    return _emit(report, args.output, args.strict)
+    try:
+        return _emit(report, args.output, args.strict)
+    except OSError:  # a failed command leaves no file behind
+        if csv_path is not None:
+            Path(csv_path).unlink(missing_ok=True)
+        raise
 
 
 def cmd_central(args) -> int:

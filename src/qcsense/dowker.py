@@ -5,7 +5,10 @@ a, the witness set sigma_a = {i : ord_i(a) <= n*t_i}.  The complex at t is
 the downward closure of all witness sets; equivalently it is the nerve of
 the column sets A_i(t_i) = {a : ord_i(a) <= n*t_i}.  Sliding the threshold
 vector of a fixed column a down the diagonal produces a one-parameter
-filtration whose grades live on the 1/n grid.
+filtration whose grades live on the 1/n grid.  A `Filtration` checks
+itself whenever it is built, with one walk over its faces
+(`Filtration.boundary_columns`) that also yields the boundary matrix
+`persistence.persistence_intervals` reduces.
 
 Complexes are stored as bitmasks over the row set: bit (i-1) set means row
 i is a vertex of the face.  Row and column labels are 1-based throughout
@@ -56,13 +59,6 @@ MAX_FACES = 2**19
 GRID_SNAP = 1e-9  # rescue k/n thresholds from float round-off
 
 Grades = Sequence[float]
-
-
-def _coerce_grades(t: Grades, m: int) -> tuple[float, ...]:
-    vals = tuple(float(x) for x in t)
-    if len(vals) != m:
-        raise ValueError(f"expected {m} grades, got {len(vals)}")
-    return vals
 
 
 def _check_rows(m: int) -> None:
@@ -124,22 +120,18 @@ class SimplicialComplex:
         return tuple(sorted(_mask_to_verts(f) for f in self.faces))
 
     def __contains__(self, face) -> bool:
-        if isinstance(face, int):
-            return face in self.faces
         mask = 0
         for v in face:
             mask |= 1 << (v - 1)
         return mask == 0 or mask in self.faces
 
-    def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self.faces <= other.faces
-
 
 def _int_thresholds(T: OrderTable, t: Grades) -> np.ndarray:
     """Per-row integer rank cutoffs r_i with ord <= n*t_i  <=>  ord <= r_i."""
-    vals = _coerce_grades(t, T.m)
-    n = T.n
-    return np.array([math.floor(n * x + GRID_SNAP) for x in vals], dtype=np.int64)
+    vals = [float(x) for x in t]
+    if len(vals) != T.m:
+        raise ValueError(f"expected {T.m} grades, got {len(vals)}")
+    return np.array([math.floor(T.n * x + GRID_SNAP) for x in vals], dtype=np.int64)
 
 
 def dowker_at(T: OrderTable, t: Grades, skeleton: int | None = None) -> SimplicialComplex:
@@ -165,9 +157,9 @@ def dowker_at(T: OrderTable, t: Grades, skeleton: int | None = None) -> Simplici
 class Filtration:
     """One-parameter filtration on the 1/denominator grade grid.
 
-    `entries` lists (grade_numerator, face_bitmask) sorted by (grade,
-    dimension, vertex order); the index range is [0, t_end_numer /
-    denominator].  Faces never appear later than their cofaces.
+    `entries` lists (grade_numerator, face_bitmask) sorted by grade, every
+    grade in the index range [0, t_end_numer / denominator], and every face
+    after its facets.  Construction checks all of it.
     """
 
     m: int
@@ -175,55 +167,47 @@ class Filtration:
     entries: tuple[tuple[int, int], ...]
     t_end_numer: int
 
-    def __init__(self, m, denominator, entries, t_end_numer, validate=True):
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "denominator", int(denominator))
-        object.__setattr__(self, "entries", tuple((int(g), int(f)) for g, f in entries))
-        object.__setattr__(self, "t_end_numer", int(t_end_numer))
-        if validate:
-            self._validate()
-
-    def _validate(self):
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple((int(g), int(f)) for g, f in self.entries))
         _check_rows(self.m)
         if self.denominator < 1:
             raise ValueError("denominator must be >= 1")
         if not (0 <= self.t_end_numer <= self.denominator):
             raise ValueError("index range endpoint outside [0, 1]")
-        born: dict[int, int] = {}
-        prev = 0
-        for g, f in self.entries:
-            if g < prev:
-                raise ValueError("entries not sorted by grade")
-            if not (0 <= g <= self.t_end_numer):
-                raise ValueError(f"grade {g}/{self.denominator} outside index range")
-            if f == 0:
-                raise ValueError("empty face has no explicit entry")
-            if f in born:
-                raise ValueError(f"face {f:b} appears twice")
-            for v in _mask_to_verts(f):
-                facet = f & ~(1 << (v - 1))
-                if facet and born.get(facet, g + 1) > g:
-                    raise ValueError("face born after one of its cofaces")
-            born[f] = g
-            prev = g
+        grades = [g for g, _ in self.entries]
+        if grades != sorted(grades):
+            raise ValueError("entries not sorted by grade")
+        if grades and not (0 <= grades[0] and grades[-1] <= self.t_end_numer):
+            raise ValueError(f"a grade lies outside [0, {self.t_end_numer}/{self.denominator}]")
+        self.boundary_columns()
 
-    def complex_at(self, grade: float, skeleton: int | None = None) -> SimplicialComplex:
+    def boundary_columns(self) -> tuple[list[int], list[int]]:
+        """Bit-packed boundary columns in entry order, plus face sizes:
+        column j has a bit at the position of each facet of face j.
+        Raises ValueError when a face is empty, appears twice, or enters
+        before one of its facets."""
+        position: dict[int, int] = {}
+        columns: list[int] = []
+        sizes: list[int] = []
+        for j, (_, f) in enumerate(self.entries):
+            if f == 0 or f in position:
+                raise ValueError(f"face {f:b} is empty or appears twice")
+            col = 0
+            for v in _mask_to_verts(f) if f & (f - 1) else ():  # a vertex has no facets
+                p = position.get(f & ~(1 << (v - 1)))
+                if p is None:
+                    raise ValueError(f"face {f:b} enters before one of its facets")
+                col |= 1 << p
+            position[f] = j
+            columns.append(col)
+            sizes.append(f.bit_count())
+        return columns, sizes
+
+    def complex_at(self, grade: float) -> SimplicialComplex:
         cutoff = math.floor(grade * self.denominator + GRID_SNAP)
         faces = frozenset(f for g, f in self.entries if g <= cutoff)
-        if skeleton is None:
-            skeleton = max((f.bit_count() for f in faces), default=1) - 1
-            skeleton = max(skeleton, 0)
-        else:
-            faces = frozenset(f for f in faces if f.bit_count() <= skeleton + 1)
+        skeleton = max((f.bit_count() for f in faces), default=1) - 1
         return SimplicialComplex(self.m, faces, skeleton)
-
-    def export_text(self) -> str:
-        """One face per line: grade numerator then 1-based vertices;
-        denominator recorded in the header line."""
-        lines = [f"denominator {self.denominator}"]
-        for g, f in self.entries:
-            lines.append(" ".join(map(str, (g,) + _mask_to_verts(f))))
-        return "\n".join(lines) + "\n"
 
 
 class FaceTables(NamedTuple):
@@ -516,5 +500,4 @@ def ray_filtration(T: OrderTable, a: int, skeleton: int | None = None) -> Filtra
     bits = np.uint64(1) << subset_tables(T.m, max_size).vertex_table.astype(np.uint64)
     masks = np.bitwise_or.reduce(bits, axis=1)
     order = np.argsort(births, kind="stable")  # the face index breaks ties
-    return Filtration(T.m, T.n, zip(births[order].tolist(), masks[order].tolist()), tmax,
-                      validate=False)
+    return Filtration(T.m, T.n, zip(births[order].tolist(), masks[order].tolist()), tmax)

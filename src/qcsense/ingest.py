@@ -148,7 +148,8 @@ def _read_text(source: Source) -> str:
             source = fh.read()
     elif not isinstance(source, bytes):
         source = source.read()
-    return source.decode("utf-8") if isinstance(source, bytes) else source
+    # utf-8-sig drops the byte-order mark spreadsheet exports start with
+    return source.decode("utf-8-sig") if isinstance(source, bytes) else source
 
 
 def load_matrix(

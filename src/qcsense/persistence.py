@@ -4,9 +4,10 @@ field: interval decomposition, diagrams, and maximal persistence lengths.
 The reduction is the standard left-to-right column elimination with
 bit-packed columns; classes alive at the end of the index range are
 capped there and flagged essential.  `persistence_intervals` reduces
-every column of a filtration; it is the reference path.  The estimator's
-L_k kernel calls `pair_reduction` only on what its shortcuts leave (see
-`estimator._block_lengths`, `estimator._apparent` and
+every column of `Filtration.boundary_columns()`, the matrix built by the
+same walk that checks a filtration; it is the reference path.  The
+estimator's L_k kernel calls `pair_reduction` only on what its shortcuts
+leave (see `estimator._block_lengths`, `estimator._apparent` and
 `estimator._reduce_chunk`):
 
 - apparent pairs (Bauer, "Ripser", JACT 2021): sigma is the youngest facet
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dowker import Filtration, _mask_to_verts
+from .dowker import Filtration
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,6 @@ class PersistenceDiagram:
             if iv.birth_numer <= g and (iv.essential or iv.death_numer > g):
                 counts[iv.dim] += 1
         return counts
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"dim": iv.dim, "birth": iv.birth, "death": iv.death, "essential": iv.essential}
-            for iv in self.intervals
-        ]
 
 
 @dataclass(frozen=True)
@@ -135,33 +130,6 @@ def pair_reduction(columns: list[int], owned=None, limit=None) -> tuple[dict[int
     return pairs, creators
 
 
-def _boundary_columns(F: Filtration) -> tuple[list[int], list[int]]:
-    """Bit-packed boundary columns in filtration order plus face sizes.
-
-    Raises if a face is missing or enters after one of its cofaces, which
-    is the structural failure mode of an invalid filtration.
-    """
-    position: dict[int, int] = {}
-    columns: list[int] = []
-    sizes: list[int] = []
-    for j, (g, f) in enumerate(F.entries):
-        col = 0
-        size = f.bit_count()
-        if size > 1:
-            for v in _mask_to_verts(f):
-                facet = f & ~(1 << (v - 1))
-                p = position.get(facet)
-                if p is None:
-                    raise ValueError(
-                        f"structural error: face of {f:b} absent or born after it"
-                    )
-                col |= 1 << p
-        position[f] = j
-        columns.append(col)
-        sizes.append(size)
-    return columns, sizes
-
-
 def persistence_intervals(F: Filtration, d_up: int) -> PersistenceDiagram:
     """Interval decomposition of the filtration's homology in dimensions
     0..d_up over the two-element field.
@@ -172,7 +140,7 @@ def persistence_intervals(F: Filtration, d_up: int) -> PersistenceDiagram:
     """
     if d_up < 0:
         raise ValueError("d_up must be >= 0")
-    columns, sizes = _boundary_columns(F)
+    columns, sizes = F.boundary_columns()
     pairs, creators = pair_reduction(columns)
     grades = [g for g, _ in F.entries]
     intervals = []

@@ -72,10 +72,6 @@ class TestDiscretizedCentralRegion:
         assert rep.members == frozenset({1, 2, 3})
         assert rep.fraction == 1.0
 
-    def test_json_shape(self, example_matrix):
-        obj = discretized_central_region(example_matrix).to_json_obj()
-        assert obj == {"members": [2, 3], "fraction": 0.5}
-
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_row_minima_always_members(self, seed):

@@ -82,6 +82,11 @@ class TestAnalyze:
         _, second, _ = run_cli(capsys, ["analyze", "--input", example_csv, "--dup", "1"])
         assert first == second
 
+    def test_default_dup_matches_explicit(self, capsys, example_csv):
+        _, default, _ = run_cli(capsys, ["analyze", "--input", example_csv])
+        _, explicit, _ = run_cli(capsys, ["analyze", "--input", example_csv, "--dup", "0"])
+        assert default == explicit
+
     def test_params_carry_nothing_machine_dependent(self, capsys, example_csv):
         _, out, _ = run_cli(capsys, ["analyze", "--input", example_csv])
         assert set(json.loads(out)["params"]) == {"input", "dup", "epsilon", "per_column"}
@@ -200,6 +205,17 @@ class TestSubsample:
         assert code == 0
         assert json.loads(out)["result"]["replicates_csv"] is None
         assert list(cwd.iterdir()) == []
+
+    def test_failed_write_leaves_no_replicate_csv(self, capsys, example_csv, tmp_path):
+        keep = tmp_path / "keep.csv"
+        code, out, _ = run_cli(
+            capsys,
+            ["subsample", "--input", example_csv, "--mode", "points", "--size", "2",
+             "--reps", "2", "--replicates-csv", str(keep),
+             "--output", str(tmp_path / "missing" / "r.json")],
+        )
+        assert (code, out) == (2, "")
+        assert not keep.exists()
 
     def test_oversized_subsample_exits_2(self, capsys, example_csv):
         code, _, err = run_cli(

@@ -79,7 +79,7 @@ class TestDowkerAt:
     def test_monotone_in_grade(self, T):
         K1 = dowker_at(T, (0.25, 0.5))
         K2 = dowker_at(T, (0.75, 1.0))
-        assert K1.is_subcomplex_of(K2)
+        assert K1.faces <= K2.faces
 
     def test_skeleton_cap(self, T):
         K = dowker_at(T, (1.0, 1.0), skeleton=0)
@@ -156,10 +156,6 @@ class TestRayFiltration:
         # column-4 ray appears one grid step before t_end
         assert F4.entries[-1] == (3, 0b11)
 
-    def test_export_text(self, T):
-        F = ray_filtration(T, 1)
-        assert F.export_text() == "denominator 4\n1 1\n3 2\n3 1 2\n"
-
     def test_validation_round_trip(self, T):
         F = ray_filtration(T, 1)
         # re-validating the same entries must succeed
@@ -173,6 +169,28 @@ class TestRayFiltration:
     def test_rejects_unsorted_grades(self):
         with pytest.raises(ValueError):
             Filtration(2, 4, ((3, 0b01), (1, 0b10), (3, 0b11)), 4)
+
+    @pytest.mark.parametrize(
+        "m, denominator, entries, t_end",
+        [
+            (2, 0, ((0, 0b01),), 0),
+            (2, 4, ((1, 0b01),), 5),
+            (2, 4, ((3, 0b01), (1, 0b10), (3, 0b11)), 4),
+            (2, 4, ((1, 0b01), (3, 0b10)), 2),
+            (2, 4, ((-1, 0b01), (1, 0b10)), 4),
+            (2, 4, ((1, 0b01), (2, 0)), 4),
+            (2, 4, ((1, 0b01), (2, 0b01)), 4),
+            (2, 4, ((1, 0b01), (3, 0b11), (3, 0b10)), 4),
+            (3, 4, ((1, 0b001), (1, 0b010), (2, 0b111)), 4),
+            (MAX_ROWS + 1, 4, ((1, 0b01),), 4),
+        ],
+        ids=["denominator-0", "t_end-past-denominator", "unsorted-grades", "grade-past-t_end",
+             "negative-grade", "empty-face", "repeated-face", "facet-later-at-same-grade",
+             "missing-facet", "65-rows"],
+    )
+    def test_rejects_bad_filtration(self, m, denominator, entries, t_end):
+        with pytest.raises(ValueError):
+            Filtration(m, denominator, entries, t_end)
 
     def test_column_out_of_range(self, T):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from qcsense import (
 from qcsense import estimator
 from qcsense.dowker import BLOCK, ray_births, ray_filtration, subset_gaps, subset_tables
 from qcsense.estimator import CHUNK, _apparent, _lk_from_order, default_d_up
-from qcsense.persistence import _boundary_columns, pair_reduction, persistence_intervals
+from qcsense.persistence import pair_reduction, persistence_intervals
 
 from conftest import (
     assert_tie_break_order,
@@ -312,7 +312,7 @@ class TestStoppingRulePremise:
         F = ray_filtration(T, a, max_size - 1)
         pos = {f: j for j, (_, f) in enumerate(F.entries)}
         assert [masks[k] for k in np.argsort(births, kind="stable")] == [f for _, f in F.entries]
-        pairs, _ = pair_reduction(_boundary_columns(F)[0])
+        pairs, _ = pair_reduction(F.boundary_columns()[0])
         found = 0
         for i in np.flatnonzero(apparent[:, 0]):
             sigma = masks[young[i, 0]]

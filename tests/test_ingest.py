@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,21 @@ class TestLoadMatrix:
         with open(p) as fh:
             assert load_matrix(fh).m == 2
         assert load_matrix(EXAMPLE_CSV.encode()).n == 4
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # spreadsheet exports start UTF-8 files with a BOM
+        plain = load_matrix(EXAMPLE_CSV.encode())
+        data = b"\xef\xbb\xbf" + EXAMPLE_CSV.encode()
+        p = tmp_path / "bom.csv"
+        p.write_bytes(data)
+        for source in (data, p, str(p)):
+            assert np.array_equal(load_matrix(source).values, plain.values)
+        reports = []
+        for path, text in ((p, data), (tmp_path / "plain.csv", EXAMPLE_CSV.encode())):
+            path.write_bytes(text)
+            assert main(["analyze", "--input", str(path)]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["result"])
+        assert reports[0] == reports[1]
 
     def test_skip_header(self):
         M = load_matrix("c1,c2,c3\n1.0,2.0,3.0\n", skip_header=True)

@@ -67,3 +67,19 @@ def test_every_import_is_used():
     dirs = (PACKAGE, ROOT / "tests", ROOT / "tests" / "oracles", ROOT / "scripts")
     found = {str(p.relative_to(ROOT)): unused_imports(p) for d in dirs for p in sorted(d.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_imports(path: Path) -> list[str]:
+    """Underscore-prefixed names one package module imports from another
+    (dunder names such as __version__ excepted)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qcsense")):
+            found += [a.name for a in node.names
+                      if a.name.startswith("_") and not a.name.endswith("__")]
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    found = {p.name: private_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

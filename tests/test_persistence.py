@@ -173,11 +173,6 @@ class TestPersistenceIntervals:
         assert len(zero) == 1
         assert max_lengths(D)[0] == 0.5
 
-    def test_structural_error_on_bad_filtration(self):
-        F = Filtration(2, 4, ((1, 0b11), (2, 0b01), (2, 0b10)), 4, validate=False)
-        with pytest.raises(ValueError, match="structural"):
-            persistence_intervals(F, d_up=1)
-
     def test_tie_break_independence(self):
         # same-grade simplices in two different valid orders: equal multisets
         Fa = Filtration(2, 1, ((0, 0b01), (0, 0b10), (1, 0b11)), 1)
@@ -190,27 +185,16 @@ class TestPersistenceIntervals:
         )
 
     def test_interval_count_matches_creators(self, example_matrix):
-        from qcsense.persistence import _boundary_columns
-
         T = order_table(example_matrix)
         for a in range(1, 5):
             F = ray_filtration(T, a)
             d_up = T.m - 1
             D = persistence_intervals(F, d_up=d_up)
-            columns, sizes = _boundary_columns(F)
+            columns, sizes = F.boundary_columns()
             _, creators = pair_reduction(columns)
             for k in range(d_up + 1):
                 n_creators_k = sum(1 for j in creators if sizes[j] == k + 1)
                 assert len(D.by_dim(k)) == n_creators_k
-
-
-class TestDiagramJson:
-    def test_shape(self, example_matrix):
-        T = order_table(example_matrix)
-        D = persistence_intervals(ray_filtration(T, 1), d_up=1)
-        objs = D.to_json_obj()
-        assert objs[0] == {"dim": 0, "birth": 0.25, "death": 1.0, "essential": True}
-        assert set(objs[1]) == {"dim", "birth", "death", "essential"}
 
 
 class TestMaxLengths:
