@@ -15,6 +15,8 @@ import numpy as np
 from .ingest import DataMatrix
 
 BLOCK = 128  # columns tested at once; bounds the block x n dominance scratch
+# Least-row-sum columns the pivot pass tests every column against first.
+PIVOTS = 16
 
 
 @dataclass(frozen=True)
@@ -48,15 +50,27 @@ class CompletenessResult:
 
 def undominated_columns(X: np.ndarray) -> np.ndarray:
     """Ascending 0-based indices of the columns of X that no other column
-    strictly beats in every row.  Columns go in ascending order of row 0,
-    so a column's dominators come before it; each block is tested against
-    the undominated columns found so far and itself (by transitivity one
-    of those beats it if any column does)."""
-    order = np.argsort(X[0], kind="stable")
+    strictly beats in every row.
+
+    A pivot pass first drops every column that one of the PIVOTS columns
+    with the least row sums beats.  A column on the front is beaten by no
+    column, so it survives, and a dropped column is off the front: the
+    front of the survivors is the front of X.  The blocked pass then takes
+    the survivors in ascending order of row 0, so a column's dominators
+    come before it, and tests each block against the undominated columns
+    found so far and itself (by transitivity one of those beats it if any
+    column does)."""
+    n = X.shape[1]
+    pivots = np.argpartition(X.sum(axis=0), min(PIVOTS, n) - 1)[:PIVOTS]
+    beaten = np.ones((pivots.size, n), dtype=bool)
+    for row in X:
+        beaten &= row[pivots, None] < row
+    alive = np.flatnonzero(~beaten.any(axis=0))
+    order = alive[np.argsort(X[0, alive], kind="stable")]
     Y = X[:, order]
     front = np.empty(0, dtype=np.intp)  # positions in Y
-    for start in range(0, X.shape[1], BLOCK):
-        pos = np.arange(start, min(start + BLOCK, X.shape[1]))
+    for start in range(0, Y.shape[1], BLOCK):
+        pos = np.arange(start, min(start + BLOCK, Y.shape[1]))
         cand = np.concatenate([front, pos])
         beaten = np.ones((pos.size, cand.size), dtype=bool)
         for row in Y:

@@ -18,10 +18,9 @@ Births.  A face sigma enters the ray filtration of column a at grade
 numerator max_i ord_i(a) - g, where the gap g = max_b min_{i in sigma}
 (ord_i(a) - ord_i(b)) is the largest down-diagonal slide of a's rank
 vector that some column b still sits under on sigma.  `subset_gaps`
-computes every gap of a block of columns at once, against a possibly
-different table (the interleaving distance reads the same gaps between
-two tables).  The max needs only C, the columns no other column beats
-in every row, and callers pass that front as the other table.  Faces of
+computes every gap of a block of columns at once.  The max needs only C,
+the columns no other column beats in every row, and callers pass that
+front as the table to scan.  Faces of
 size 1 and 2 have closed forms: a row minimum, and the crossing point on
 a 2-D staircase.  A larger face takes the gap of its youngest facet
 whenever that facet's witness column also covers the one added row; only
@@ -184,14 +183,16 @@ class Filtration:
     def boundary_columns(self) -> tuple[list[int], list[int]]:
         """Bit-packed boundary columns in entry order, plus face sizes:
         column j has a bit at the position of each facet of face j.
-        Raises ValueError when a face is empty, appears twice, or enters
-        before one of its facets."""
+        Raises ValueError when a face is empty, appears twice, has a
+        vertex past m, or enters before one of its facets."""
         position: dict[int, int] = {}
         columns: list[int] = []
         sizes: list[int] = []
         for j, (_, f) in enumerate(self.entries):
             if f == 0 or f in position:
                 raise ValueError(f"face {f:b} is empty or appears twice")
+            if f >> self.m:
+                raise ValueError(f"face {f:b} outside vertex universe [1..{self.m}]")
             col = 0
             for v in _mask_to_verts(f) if f & (f - 1) else ():  # a vertex has no facets
                 p = position.get(f & ~(1 << (v - 1)))
@@ -379,10 +380,9 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
     the Pareto front of their table (`central.undominated_columns`): the
     columns that no other column strictly beats in every row.  Any b
     outside the front is beaten in all m rows, hence on sigma, by some b'
-    on it, and src[i, a] - dst[i, b'] is larger in every row whatever src
-    is: the max over the front equals the max over all columns, for
-    src = dst and src != dst alike.  Any dst gives the same gaps, the
-    front only fewer columns to scan.  Beside each gap the loop keeps a
+    on it, and src[i, a] - dst[i, b'] is larger in every row: the max over
+    the front equals the max over all columns, and the front only leaves
+    fewer columns to scan.  Beside each gap the loop keeps a
     witness, a column of C attaining it, and it fills the faces by size:
 
     - size 1: the gap of {v} is src[v, a] - min_b dst[v, b], witnessed by

@@ -133,23 +133,26 @@ class OrderTable:
 
 
 def _read_text(source: Source) -> str:
+    """The text of source, less one leading byte-order mark: spreadsheet
+    exports start UTF-8 files with one, and a text-mode file keeps it."""
     if isinstance(source, str) and not os.path.exists(source):
+        text = source.removeprefix("\ufeff")
         # A str naming no file is CSV text if it looks like one, else a
         # missing path (or a number).
-        if "\n" in source or "," in source or not source.strip():
-            return source
+        if "\n" in text or "," in text or not text.strip():
+            return text
         try:
-            float(source)
+            float(text)
         except ValueError:
             raise FileNotFoundError(errno.ENOENT, "no such file", source) from None
-        return source
+        return text
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             source = fh.read()
     elif not isinstance(source, bytes):
         source = source.read()
-    # utf-8-sig drops the byte-order mark spreadsheet exports start with
-    return source.decode("utf-8-sig") if isinstance(source, bytes) else source
+    text = source.decode() if isinstance(source, bytes) else source
+    return text.removeprefix("\ufeff")
 
 
 def load_matrix(
@@ -165,6 +168,7 @@ def load_matrix(
     an error unless skip_header strips it.  A str naming an existing file
     is read from that file; any other str is CSV text, except that one
     with no comma or newline that is no number raises FileNotFoundError.
+    One leading byte-order mark is dropped, whatever the source.
     """
     if tie_policy not in ("reject", "break-by-column-index"):
         raise IngestError(f"unknown tie_policy {tie_policy!r}")

@@ -19,46 +19,67 @@ monotone in the grade, so the inclusion holds at every grid point iff it
 holds at each generator.  The generator (sigma, a) is matched after a
 shift s iff some column b has beta*ord_dst[i,b] <= alpha*ord_src[i,a] + s
 for all i in sigma (the clamp at 1 never binds, since beta*ord_dst <=
-lcm).  Its least shift is therefore min_b max_i (beta*ord_dst[i,b] -
-alpha*ord_src[i,a]), the negated subset gap of `dowker.subset_gaps`.  A
-shift is feasible iff it covers every generator's least shift, so the
-distance numerator is the largest of them over both directions.  It is
-never negative: from the finer grid (alpha <= beta), the vertex of a
-rank-1 column has least shift beta - alpha.  The min over b may skip
-every column of dst that another column beats in all rows, since the
-beating column needs a smaller shift on every sigma: the Pareto front of
-dst suffices.
+lcm).  With src = alpha*ord_src and dst = beta*ord_dst, its least shift
+is therefore -g_sigma(a), where
 
-The max over a may skip the same columns of src.  If a' beats a in every
-row, then alpha*ord_src[i,a'] < alpha*ord_src[i,a] for all i, so every
-term of the least shift max_i (beta*ord_dst[i,b] - alpha*ord_src[i,a])
-only grows when a' replaces a: a' needs at least the shift of a on every
-sigma, and whatever shift covers a' covers a.  Strict beating is a strict
-order on finitely many columns, so a column off the front is beaten by
-one on it, ties or not.  Both directions therefore run over the two
-Pareto fronts only, and the numerator is the same as over every column.
-Each front is taken once (a positive factor keeps it, so before the
-scaling) and serves as src in one direction and as dst in the other.
+    g_sigma(a) = max_b min_{i in sigma} (src[i,a] - dst[i,b])
+
+is the gap of sigma at a.  A shift is feasible iff it covers every
+generator's least shift, so the distance numerator is the largest of them
+over both directions.  It is never negative: from the finer grid
+(alpha <= beta), the vertex of a rank-1 column has least shift
+beta - alpha.
+
+Maximal faces.  A gap only shrinks as its face grows: for sigma inside
+tau the min runs over more rows, so g_tau(a) <= g_sigma(a) for every a.
+Every face of at most s = min(skeleton + 1, m) vertices lies in one of
+exactly s vertices, so the largest least shift is reached at one of the
+C(m, s) maximal faces, and only those are scanned.  The certificate still
+counts every generator: a smaller face's is covered by a maximal face
+that contains it.
+
+Per-face fronts.  On a face sigma the min over b may skip every column
+of dst that another column beats on every row of sigma, since the beating
+column has a larger min.  The max over a may skip the same columns of
+src: if a' beats a on every row of sigma, then every term
+src[i,a'] - dst[i,b] is smaller than src[i,a] - dst[i,b], so
+g_sigma(a') < g_sigma(a) and a' needs more shift than a.  Strict beating
+is a strict order on finitely many columns, so a column off the front is
+beaten by one on it, ties or not.  Each maximal face therefore runs both
+directions over its own two fronts, the columns `undominated_columns`
+keeps from the face's rows of each table (Kung, Luccio and Preparata,
+"On finding the maxima of a set of vectors", JACM 1975).  A face of few
+rows has a front far narrower than the table's.  Each front is taken
+before the scaling, since a positive factor keeps it, and serves as src
+in one direction and as dst in the other: one blocked min-max scan each
+(`_least_gap`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .central import undominated_columns
-from .dowker import subset_gaps, subset_tables
 from .ingest import DataMatrix, OrderTable, order_table
 
-# The check runs up to 2^m - 1 faces per front column against the other
-# front, and fronts grow with m.  n_a=2000 against n_b=1000, drawn as in
-# the interleave-m4 benchmark (d=2), takes about 4 ms at skeleton 0 and
-# 6 ms at the full skeleton for m=4, and 7.5 ms and 35 ms for m=8, on a
-# 2-core machine.  Anti-correlated rows put every column on the front:
-# m=8 at the full skeleton then takes 1.5-1.8 s.
+# The scan runs the C(m, s) maximal faces, each over its two fronts, and
+# fronts grow with the face.  n_a=2000 against n_b=1000, drawn as in the
+# interleave-m4 benchmark (d=2), takes 1-5 ms at every skeleton for m=4.
+# For m=8 it takes 1-6 ms at skeleton 0 and at the full skeleton, but
+# 120-170 ms at skeletons 3 and 4, whose 70 and 56 faces each take fronts
+# of 200-280 of the 2000 columns.  Anti-correlated rows put every column
+# on the table's front: m=8 then takes at most 0.06 s at skeletons 0-3
+# and 7, and 0.3-0.6 s at skeletons 4-6, the cost the cap rests on
+# (2-core machine).
 MAX_ROWS = 8
+
+# (source column, target column) cells per block of the min-max scan:
+# bounds its scratch to two CELLS-sized arrays.
+CELLS = 32768
 
 
 @dataclass(frozen=True)
@@ -69,10 +90,11 @@ class InterleaveResult:
     is lcm(n_a, n_b); ``certificate`` counts the generator grades verified
     in each direction (A into shifted B, B into shifted A) at the reported
     shift: every (face, column) pair, faces times n_a resp. n_b.  Only the
-    Pareto front columns are computed; a generator off the front is
-    verified through a front column that beats its column in every row,
-    whose least shift is at least its own.  The true infimum over real
-    shifts lies in (distance - 1/denominator, distance].
+    maximal faces and their Pareto front columns are computed; any other
+    generator is verified through a maximal face containing its face and
+    a front column that beats its column on that face's rows, whose least
+    shift is at least its own.  The true infimum over real shifts lies in
+    (distance - 1/denominator, distance].
     """
 
     distance: float
@@ -111,14 +133,32 @@ def _as_table(X) -> OrderTable:
     raise TypeError("expected an OrderTable or DataMatrix")
 
 
-def _scaled_front(T: OrderTable, dtype, scale: int) -> np.ndarray:
-    """The Pareto front columns of T's ranks, times scale.  A positive
-    factor keeps the front, so only its columns are scaled; the full
-    table is cast once, to the narrow dtype, for the dominance pass."""
-    ranks = T.ord.astype(dtype)
-    front = ranks[:, undominated_columns(ranks)]
-    front *= scale
-    return front
+def _face_fronts(ranks: np.ndarray, size: int, scale: int):
+    """Yield, for each size-subset sigma of the rows in `combinations`
+    order, the columns of ranks[sigma] that no other column beats on every
+    row of sigma, times scale.  A positive factor keeps a front, so only
+    its columns are scaled."""
+    for sigma in combinations(range(len(ranks)), size):
+        face = ranks[list(sigma)]
+        front = face[:, undominated_columns(face)]
+        front *= scale
+        yield front
+
+
+def _least_gap(src: np.ndarray, dst: np.ndarray) -> int:
+    """min over the columns a of src of max over the columns b of dst of
+    min_i (src[i, a] - dst[i, b]), in blocks of CELLS (a, b) cells."""
+    step = max(1, CELLS // dst.shape[1])
+    least = []
+    for a0 in range(0, src.shape[1], step):
+        x = src[:, a0 : a0 + step, None]
+        acc = x[0] - dst[0]
+        buf = np.empty_like(acc)
+        for i in range(1, len(x)):
+            np.subtract(x[i], dst[i], out=buf)
+            np.minimum(acc, buf, out=acc)
+        least.append(int(acc.max(axis=1).min()))
+    return min(least)
 
 
 def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult:
@@ -127,7 +167,8 @@ def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult
     ``A`` and ``B`` are order tables (or matrices, ranked on the fly) over
     the same m rows; ``skeleton`` bounds the simplex dimension considered
     (default m-1, the full complex).  Exact on the merged grid; the work
-    grows as 2^m, so m is capped at MAX_ROWS.
+    grows with the C(m, skeleton + 1) maximal faces and their fronts, so m
+    is capped at MAX_ROWS.
     """
     TA = _as_table(A)
     TB = _as_table(B)
@@ -148,14 +189,10 @@ def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult
     lcm = math.lcm(n_a, n_b)
     # scaled ranks lie in [1, lcm], their differences in (-lcm, lcm)
     dtype = np.int32 if lcm < 2**30 else np.int64
-    front_a = _scaled_front(TA, dtype, lcm // n_a)
-    front_b = _scaled_front(TB, dtype, lcm // n_b)
-    numerator = -min(
-        int(gaps.min())
-        for src, dst in ((front_a, front_b), (front_b, front_a))
-        for _, gaps in subset_gaps(src, dst, max_size)
-    )
-    checked = subset_tables(m, max_size).start[-1]
+    fronts = zip(_face_fronts(TA.ord.astype(dtype), max_size, lcm // n_a),
+                 _face_fronts(TB.ord.astype(dtype), max_size, lcm // n_b))
+    numerator = -min(min(_least_gap(fa, fb), _least_gap(fb, fa)) for fa, fb in fronts)
+    checked = sum(math.comb(m, size) for size in range(1, max_size + 1))
     return InterleaveResult(
         distance=numerator / lcm,
         numerator=numerator,

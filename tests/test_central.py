@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcsense import DataMatrix, completeness_test, discretized_central_region
-from qcsense.central import BLOCK, undominated_columns
+from qcsense.central import BLOCK, PIVOTS, undominated_columns
 
 from conftest import random_tie_free_matrix
 
@@ -40,13 +40,30 @@ def pareto_minimal_columns(F: np.ndarray) -> list[int]:
 
 
 class TestUndominatedColumns:
-    @given(st.integers(1, 5), st.integers(1, 2 * BLOCK + 40), st.integers(1, 6),
+    """The pivot pass and the blocked pass against the reference loops, on
+    either side of PIVOTS and of two blocks, up to interleave's 8 rows."""
+
+    @given(st.integers(1, 8), st.integers(1, 2 * BLOCK + 40), st.integers(1, 6),
+           st.sampled_from(["levels", "anti-correlated", "one-winner"]),
            st.integers(0, 2**32 - 1))
+    @example(m=3, n=PIVOTS, levels=6, kind="levels", seed=0)
+    @example(m=3, n=PIVOTS + 1, levels=6, kind="levels", seed=1)
+    @example(m=8, n=2 * BLOCK + 1, levels=6, kind="anti-correlated", seed=2)
+    @example(m=8, n=2 * BLOCK + 1, levels=2, kind="one-winner", seed=3)
     @settings(max_examples=200, deadline=None)
-    def test_matches_reference_loops_with_ties(self, m, n, levels, seed):
+    def test_matches_reference_loops_with_ties(self, m, n, levels, kind, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         values = rng.integers(0, levels, size=(m, n)).astype(float)
+        if kind == "anti-correlated":
+            # a column beaten in the other rows wins the last: all on the front
+            values[-1] = -values[:-1].sum(axis=0)
+        elif kind == "one-winner":
+            values[:, n // 2] = values.min(axis=1) - 1.0
         got = undominated_columns(values)
+        if kind == "anti-correlated":
+            assert got.tolist() == list(range(n))
+        elif kind == "one-winner":
+            assert got.tolist() == [n // 2]
         assert got.tolist() == central_loop(values)
         assert set(got.tolist()) == set(pareto_minimal_columns(values))
         members = discretized_central_region(DataMatrix(values, check_ties=False)).members

@@ -171,25 +171,26 @@ class TestRayFiltration:
             Filtration(2, 4, ((3, 0b01), (1, 0b10), (3, 0b11)), 4)
 
     @pytest.mark.parametrize(
-        "m, denominator, entries, t_end",
+        "m, denominator, entries, t_end, match",
         [
-            (2, 0, ((0, 0b01),), 0),
-            (2, 4, ((1, 0b01),), 5),
-            (2, 4, ((3, 0b01), (1, 0b10), (3, 0b11)), 4),
-            (2, 4, ((1, 0b01), (3, 0b10)), 2),
-            (2, 4, ((-1, 0b01), (1, 0b10)), 4),
-            (2, 4, ((1, 0b01), (2, 0)), 4),
-            (2, 4, ((1, 0b01), (2, 0b01)), 4),
-            (2, 4, ((1, 0b01), (3, 0b11), (3, 0b10)), 4),
-            (3, 4, ((1, 0b001), (1, 0b010), (2, 0b111)), 4),
-            (MAX_ROWS + 1, 4, ((1, 0b01),), 4),
+            (2, 0, ((0, 0b01),), 0, "denominator"),
+            (2, 4, ((1, 0b01),), 5, "endpoint outside"),
+            (2, 4, ((3, 0b01), (1, 0b10), (3, 0b11)), 4, "not sorted"),
+            (2, 4, ((1, 0b01), (3, 0b10)), 2, "grade lies outside"),
+            (2, 4, ((-1, 0b01), (1, 0b10)), 4, "grade lies outside"),
+            (2, 4, ((1, 0b01), (2, 0)), 4, "empty or appears twice"),
+            (2, 4, ((1, 0b01), (2, 0b01)), 4, "empty or appears twice"),
+            (2, 4, ((1, 0b01), (3, 0b11), (3, 0b10)), 4, "before one of its facets"),
+            (3, 4, ((1, 0b001), (1, 0b010), (2, 0b111)), 4, "before one of its facets"),
+            (MAX_ROWS + 1, 4, ((1, 0b01),), 4, "bitmask capacity"),
+            (2, 4, ((1, 0b100),), 4, r"face 100 outside vertex universe \[1\.\.2\]"),
         ],
         ids=["denominator-0", "t_end-past-denominator", "unsorted-grades", "grade-past-t_end",
              "negative-grade", "empty-face", "repeated-face", "facet-later-at-same-grade",
-             "missing-facet", "65-rows"],
+             "missing-facet", "65-rows", "face-outside-universe"],
     )
-    def test_rejects_bad_filtration(self, m, denominator, entries, t_end):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_filtration(self, m, denominator, entries, t_end, match):
+        with pytest.raises(ValueError, match=match):
             Filtration(m, denominator, entries, t_end)
 
     def test_column_out_of_range(self, T):

@@ -54,8 +54,12 @@ class TestLoadMatrix:
         data = b"\xef\xbb\xbf" + EXAMPLE_CSV.encode()
         p = tmp_path / "bom.csv"
         p.write_bytes(data)
-        for source in (data, p, str(p)):
+        for source in (data, p, str(p), data.decode()):
             assert np.array_equal(load_matrix(source).values, plain.values)
+        # a text-mode file keeps the BOM as U+FEFF
+        with open(p, encoding="utf-8") as text_file, open(p, "rb") as binary_file:
+            for fh in (text_file, binary_file):
+                assert np.array_equal(load_matrix(fh).values, plain.values)
         reports = []
         for path, text in ((p, data), (tmp_path / "plain.csv", EXAMPLE_CSV.encode())):
             path.write_bytes(text)

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from qcsense import DataMatrix, interleaving_distance, order_table
 from qcsense.central import undominated_columns
-from qcsense.dowker import BLOCK, dowker_at
-from qcsense.interleave import MAX_ROWS, InterleaveResult, _as_table
+from qcsense.dowker import dowker_at
+from qcsense.interleave import CELLS, MAX_ROWS, InterleaveResult, _as_table, _least_gap
 
 from conftest import random_order_table, random_tie_free_matrix
 
@@ -176,9 +176,9 @@ class TestValidation:
         rng = np.random.Generator(np.random.PCG64(5))
         A = random_tie_free_matrix(rng, MAX_ROWS, 6)
         B = random_tie_free_matrix(rng, MAX_ROWS, 5)
-        assert interleaving_distance(A, B).to_json_obj() == binary_search_distance(
-            A, B
-        ).to_json_obj()
+        for skeleton in range(MAX_ROWS):
+            got = interleaving_distance(A, B, skeleton=skeleton).to_json_obj()
+            assert got == binary_search_distance(A, B, skeleton=skeleton).to_json_obj()
 
     def test_negative_skeleton(self):
         A = _table_from_rows([[1.0, 2.0]])
@@ -247,10 +247,10 @@ def _one_winner(rng, m: int, n: int, ties: bool) -> DataMatrix:
 
 
 class TestParetoFronts:
-    """Both directions run over the Pareto fronts only: fronts wider than
-    one `subset_gaps` block, a one-column front, and fronts holding tied
-    columns, against the binary search over every column at every
-    skeleton."""
+    """Both directions run over each face's Pareto fronts only: fronts
+    wider than one block of the scan, a one-column front, and fronts
+    holding tied columns, against the binary search over every column at
+    every skeleton."""
 
     @staticmethod
     def _check_every_skeleton(TA, TB):
@@ -264,8 +264,12 @@ class TestParetoFronts:
         rng = np.random.Generator(np.random.PCG64(40 + m))
         TA = order_table(_anti_correlated(rng, m, 300, ties))
         TB = order_table(_anti_correlated(rng, m, 260, ties))
-        assert undominated_columns(TA.ord).size > BLOCK
-        assert undominated_columns(TB.ord).size > BLOCK
+        # at the full face each direction's source front spans several
+        # scan blocks of CELLS // (target front width) columns
+        width_a = undominated_columns(TA.ord).size
+        width_b = undominated_columns(TB.ord).size
+        assert width_a > CELLS // width_b
+        assert width_b > CELLS // width_a
         self._check_every_skeleton(TA, TB)
 
     @pytest.mark.parametrize("ties", [False, True])
@@ -287,6 +291,19 @@ class TestParetoFronts:
         assert any(np.unique(row).size < row.size for row in front)
         TB = random_order_table(rng, 3, 28, partner_ties)
         self._check_every_skeleton(TA, TB)
+
+    @given(st.integers(1, 8), st.integers(1, 400), st.integers(1, 300),
+           st.integers(0, 2**32 - 1))
+    @example(m=4, n_src=3 * (CELLS // 200) + 1, n_dst=200, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_scan_blocks_match_broadcast(self, m, n_src, n_dst, seed):
+        # the last column sits lowest, so the last block holds the least gap
+        rng = np.random.Generator(np.random.PCG64(seed))
+        src = rng.integers(-50, 50, size=(m, n_src)).astype(np.int32)
+        dst = rng.integers(-50, 50, size=(m, n_dst)).astype(np.int32)
+        src[:, -1] -= 200
+        want = (src[:, :, None] - dst[:, None, :]).min(axis=0).max(axis=1).min()
+        assert _least_gap(src, dst) == want
 
 
 class TestAgainstBruteForce:
