@@ -19,12 +19,13 @@ numerator max_i ord_i(a) - g, where the gap g = max_b min_{i in sigma}
 (ord_i(a) - ord_i(b)) is the largest down-diagonal slide of a's rank
 vector that some column b still sits under on sigma.  `subset_gaps`
 computes every gap of a block of columns at once.  The max needs only C,
-the columns no other column beats in every row, and callers pass that
-front as the table to scan.  Faces of
+the columns no other column beats in every row, and `subset_gaps` takes
+that front of the table itself.  Faces of
 size 1 and 2 have closed forms: a row minimum, and the crossing point on
 a 2-D staircase.  A larger face takes the gap of its youngest facet
 whenever that facet's witness column also covers the one added row; only
-the (face, column) cells where it does not are scanned over C.
+the (face, column) cells where it does not are scanned over C, by
+`scan_gaps`, the blocked max-min that `interleave` runs as well.
 `ray_births` is the same computation for one column.
 """
 
@@ -44,8 +45,8 @@ from .ingest import OrderTable
 MAX_ROWS = 64  # bitmask capacity; one machine word
 
 # Source columns per subset_gaps block, the (face, column) cells per
-# certificate chunk and the (face, column of C) cells per fallback scan
-# chunk: together they bound the scratch of subset_gaps.
+# certificate chunk and the (row, column of C) cells per scan_gaps chunk:
+# together they bound the scratch of subset_gaps.
 BLOCK = 128
 CELLS = 8192
 SCAN_CELLS = 32768
@@ -63,6 +64,16 @@ Grades = Sequence[float]
 def _check_rows(m: int) -> None:
     if m > MAX_ROWS:
         raise ValueError(f"row count {m} exceeds bitmask capacity {MAX_ROWS}")
+
+
+def _skeleton(T: OrderTable, skeleton: int | None) -> int:
+    """The checked skeleton bound on T's complexes, m - 1 by default."""
+    _check_rows(T.m)
+    if skeleton is None:
+        return T.m - 1
+    if skeleton < 0:
+        raise ValueError("skeleton bound must be >= 0")
+    return skeleton
 
 
 def _mask_to_verts(mask: int) -> tuple[int, ...]:
@@ -140,11 +151,7 @@ def dowker_at(T: OrderTable, t: Grades, skeleton: int | None = None) -> Simplici
     snapped to the 1/n grid within a 1e-9 guard.  `skeleton` bounds the
     retained face dimension; default is the full m-1.
     """
-    _check_rows(T.m)
-    if skeleton is None:
-        skeleton = T.m - 1
-    if skeleton < 0:
-        raise ValueError("skeleton bound must be >= 0")
+    skeleton = _skeleton(T, skeleton)
     r = _int_thresholds(T, t)
     below = T.ord <= r[:, None]  # (m, n)
     weights = np.uint64(1) << np.arange(T.m, dtype=np.uint64)
@@ -347,12 +354,14 @@ def _pair_gaps(block, verts, pair, stairs):
     return np.where(use_rise, rise, fall), col[k]
 
 
-def _scan(x: np.ndarray, rows: np.ndarray, front: np.ndarray):
+def scan_gaps(x: np.ndarray, rows: np.ndarray, front: np.ndarray):
     """(gap, witness) of each row of (x, rows): gap[r] is the max over
     the columns b of front of min_t (x[r, t] - front[rows[r, t], b]), and
     witness[r] the first column attaining it.  The full scan behind every
-    certificate that fails, SCAN_CELLS (row, column) cells at a time, in
-    front's dtype, which must hold x - front."""
+    certificate that fails and behind the interleaving distance,
+    SCAN_CELLS (row, column) cells at a time, in front's dtype, which
+    must hold x - front.  rows may be a broadcast view: every row of x
+    then reads the same rows of front."""
     n_rows, size = rows.shape
     gap = np.empty(n_rows, dtype=front.dtype)
     witness = np.empty(n_rows, dtype=np.intp)
@@ -363,7 +372,9 @@ def _scan(x: np.ndarray, rows: np.ndarray, front: np.ndarray):
         np.subtract(x[r, :1], acc, out=acc)
         buf = np.empty_like(acc)
         for t in range(1, size):
-            np.take(front, rows[r, t], axis=0, out=buf)
+            # rows index front's rows, so "clip" never clips; unlike the
+            # default "raise", it writes into buf without a buffer copy
+            np.take(front, rows[r, t], axis=0, out=buf, mode="clip")
             np.subtract(x[r, t, None], buf, out=buf)
             np.minimum(acc, buf, out=acc)
         witness[r] = acc.argmax(axis=1)
@@ -376,14 +387,14 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
     gaps[k, j] = max_b min_{i in sigma_k} (src[i, a] - dst[i, b]) for the
     block's j-th column a and subset sigma_k of subset_tables(m, max_size).
 
-    The max runs over the columns C of dst, and callers pass as dst only
-    the Pareto front of their table (`central.undominated_columns`): the
-    columns that no other column strictly beats in every row.  Any b
-    outside the front is beaten in all m rows, hence on sigma, by some b'
-    on it, and src[i, a] - dst[i, b'] is larger in every row: the max over
-    the front equals the max over all columns, and the front only leaves
-    fewer columns to scan.  Beside each gap the loop keeps a
-    witness, a column of C attaining it, and it fills the faces by size:
+    The max runs over the columns C of dst's Pareto front, which is taken
+    here (`central.undominated_columns`): the columns that no other
+    column strictly beats in every row.  Any b outside the front is
+    beaten in all m rows, hence on sigma, by some b' on it, and
+    src[i, a] - dst[i, b'] is larger in every row: the max over the front
+    equals the max over all columns, and the front only leaves fewer
+    columns to scan.  Beside each gap the loop keeps a witness, a column
+    of C attaining it, and it fills the faces by size:
 
     - size 1: the gap of {v} is src[v, a] - min_b dst[v, b], witnessed by
       the column of that minimum;
@@ -398,10 +409,10 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
       a facet with g_f = v (the youngest), b* its witness and w the
       vertex of tau outside f.  At b* the min over tau is min(v, src[w, a]
       - dst[w, b*]).  If src[w, a] - dst[w, b*] >= v that min is v, so
-      g_tau >= v: then g_tau = v and b* witnesses tau.  Otherwise `_scan`
-      runs the full max over C for that (face, column) alone, and its
-      first argmax is the witness.  Any argmax serves: the proof only
-      needs min over f at b* to equal g_f.
+      g_tau >= v: then g_tau = v and b* witnesses tau.  Otherwise
+      `scan_gaps` runs the full max over C for that (face, column) alone,
+      and its first argmax is the witness.  Any argmax serves: the proof
+      only needs min over f at b* to equal g_f.
 
     The certificate costs a few gathers per cell against |sigma| |C| for
     the scan.  CELLS bounds the (face, column) cells handled at once and
@@ -412,7 +423,7 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
     faces = subset_tables(m, max_size)
     start = faces.start
     work = np.result_type(src, dst)  # holds every difference src - dst
-    front = np.ascontiguousarray(dst, dtype=work)
+    front = np.ascontiguousarray(dst[:, undominated_columns(dst)], dtype=work)
     wit_type = np.int16 if front.shape[1] < 2**15 else np.int32
     low_at = front.argmin(axis=1)
     low = front[np.arange(m), low_at]
@@ -460,7 +471,7 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
                 if cells.size:
                     rr, j = np.divmod(cells, B)
                     rows = verts[rr]
-                    v.flat[cells], b.flat[cells] = _scan(block[rows, j[:, None]], rows, front)
+                    v.flat[cells], b.flat[cells] = scan_gaps(block[rows, j[:, None]], rows, front)
                 gaps[r], wit[r] = v, b
         del wit  # keep only the returned block while the caller works on it
         yield range(first, stop), gaps
@@ -480,7 +491,7 @@ def ray_births(T: OrderTable, a: int, max_size: int) -> tuple[np.ndarray, int]:
     if not (1 <= a <= T.n):
         raise ValueError(f"column {a} out of range [1..{T.n}]")
     tmax = int(T.ord[:, a - 1].max())
-    (_, gaps), = subset_gaps(T.ord[:, [a - 1]], T.ord[:, undominated_columns(T.ord)], max_size)
+    (_, gaps), = subset_gaps(T.ord[:, [a - 1]], T.ord, max_size)
     return tmax - gaps[:, 0], tmax
 
 
@@ -491,10 +502,7 @@ def ray_filtration(T: OrderTable, a: int, skeleton: int | None = None) -> Filtra
     final complex contains the full face on [m] (truncated to `skeleton`)
     because column a witnesses every row at its own rank vector.
     """
-    _check_rows(T.m)
-    if skeleton is None:
-        skeleton = T.m - 1
-    max_size = min(skeleton + 1, T.m)
+    max_size = min(_skeleton(T, skeleton) + 1, T.m)
     births, tmax = ray_births(T, a, max_size)
     # a padded row repeats a vertex, which sets no extra bit
     bits = np.uint64(1) << subset_tables(T.m, max_size).vertex_table.astype(np.uint64)

@@ -20,7 +20,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .central import undominated_columns
 from .dowker import FaceTables, subset_gaps, subset_tables
 from .ingest import DataMatrix, OrderTable, order_table, rank_rows
 from .persistence import MaxLengths, pair_reduction
@@ -313,7 +312,7 @@ def _lk_from_order(ord_arr: np.ndarray, d_up: int) -> tuple[np.ndarray, np.ndarr
     # Rank differences lie in (-n, n): int16 halves the memory traffic of
     # the fallback scans and keeps the witness columns small.
     ranks = ord_arr.astype(np.int16 if n < 2**15 else np.int32)
-    for cols, gaps in subset_gaps(ranks, ranks[:, undominated_columns(ranks)], max_size):
+    for cols, gaps in subset_gaps(ranks, ranks, max_size):
         _block_lengths(gaps, faces, per_column[cols.start : cols.stop])
         del gaps  # no block outlives its use while the next one is built
     return per_column.max(axis=0), per_column

@@ -151,8 +151,14 @@ def _read_text(source: Source) -> str:
             source = fh.read()
     elif not isinstance(source, bytes):
         source = source.read()
-    text = source.decode() if isinstance(source, bytes) else source
-    return text.removeprefix("\ufeff")
+    if isinstance(source, bytes):
+        try:
+            source = source.decode()
+        except UnicodeDecodeError as exc:
+            line = source.count(b"\n", 0, exc.start) + 1
+            raise IngestError(f"input is not UTF-8: byte {source[exc.start]:#04x} at offset "
+                              f"{exc.start} (line {line})") from exc
+    return source.removeprefix("\ufeff")
 
 
 def load_matrix(

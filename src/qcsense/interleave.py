@@ -51,8 +51,10 @@ keeps from the face's rows of each table (Kung, Luccio and Preparata,
 "On finding the maxima of a set of vectors", JACM 1975).  A face of few
 rows has a front far narrower than the table's.  Each front is taken
 before the scaling, since a positive factor keeps it, and serves as src
-in one direction and as dst in the other: one blocked min-max scan each
-(`_least_gap`).
+in one direction and as dst in the other.  Each direction is one run of
+`dowker.scan_gaps`, the blocked max-min behind the Dowker births, with
+every source column reading all rows of the face; the least of its gaps
+is that direction's.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from itertools import combinations
 import numpy as np
 
 from .central import undominated_columns
+from .dowker import scan_gaps
 from .ingest import DataMatrix, OrderTable, order_table
 
 # The scan runs the C(m, s) maximal faces, each over its two fronts, and
@@ -76,10 +79,6 @@ from .ingest import DataMatrix, OrderTable, order_table
 # and 7, and 0.3-0.6 s at skeletons 4-6, the cost the cap rests on
 # (2-core machine).
 MAX_ROWS = 8
-
-# (source column, target column) cells per block of the min-max scan:
-# bounds its scratch to two CELLS-sized arrays.
-CELLS = 32768
 
 
 @dataclass(frozen=True)
@@ -145,22 +144,6 @@ def _face_fronts(ranks: np.ndarray, size: int, scale: int):
         yield front
 
 
-def _least_gap(src: np.ndarray, dst: np.ndarray) -> int:
-    """min over the columns a of src of max over the columns b of dst of
-    min_i (src[i, a] - dst[i, b]), in blocks of CELLS (a, b) cells."""
-    step = max(1, CELLS // dst.shape[1])
-    least = []
-    for a0 in range(0, src.shape[1], step):
-        x = src[:, a0 : a0 + step, None]
-        acc = x[0] - dst[0]
-        buf = np.empty_like(acc)
-        for i in range(1, len(x)):
-            np.subtract(x[i], dst[i], out=buf)
-            np.minimum(acc, buf, out=acc)
-        least.append(int(acc.max(axis=1).min()))
-    return min(least)
-
-
 def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult:
     """Smallest merged-grid shift with mutual inclusion of the two filtrations.
 
@@ -177,8 +160,8 @@ def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult
     m = TA.m
     if m > MAX_ROWS:
         raise ValueError(
-            f"m={m} rows would check 2^{m} - 1 faces per column; "
-            f"at most {MAX_ROWS} rows supported"
+            f"m={m} rows would scan up to {math.comb(m, m // 2)} maximal faces, "
+            f"each against its Pareto fronts; at most {MAX_ROWS} rows supported"
         )
     if skeleton is None:
         skeleton = m - 1
@@ -191,7 +174,10 @@ def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult
     dtype = np.int32 if lcm < 2**30 else np.int64
     fronts = zip(_face_fronts(TA.ord.astype(dtype), max_size, lcm // n_a),
                  _face_fronts(TB.ord.astype(dtype), max_size, lcm // n_b))
-    numerator = -min(min(_least_gap(fa, fb), _least_gap(fb, fa)) for fa, fb in fronts)
+    rows = np.arange(max_size)
+    gaps = (scan_gaps(src.T, np.broadcast_to(rows, src.T.shape), dst)[0].min()
+            for fa, fb in fronts for src, dst in ((fa, fb), (fb, fa)))
+    numerator = -int(min(gaps))
     checked = sum(math.comb(m, size) for size in range(1, max_size + 1))
     return InterleaveResult(
         distance=numerator / lcm,

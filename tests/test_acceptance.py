@@ -347,7 +347,7 @@ def test_certificate_fallbacks_scale_with_columns(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(1))
     M400 = DataMatrix(rng.random((10, 400)))
     M200 = DataMatrix(M400.values[:, :200])
-    scan, reduce = dowker._scan, estimator.pair_reduction
+    scan, reduce = dowker.scan_gaps, estimator.pair_reduction
     counts = {"fallback cells": [], "leftover columns": [], "leftover pairs": []}
 
     def counting_scan(x, rows, front):
@@ -360,7 +360,7 @@ def test_certificate_fallbacks_scale_with_columns(monkeypatch):
         counts["leftover pairs"][-1] += len(pairs)
         return pairs, creators
 
-    monkeypatch.setattr(dowker, "_scan", counting_scan)
+    monkeypatch.setattr(dowker, "scan_gaps", counting_scan)
     monkeypatch.setattr(estimator, "pair_reduction", counting_reduce)
     for M in (M200, M400):
         for c in counts.values():

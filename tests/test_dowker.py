@@ -198,6 +198,8 @@ class TestRayFiltration:
             ray_filtration(T, 0)
         with pytest.raises(ValueError):
             ray_filtration(T, 5)
+        with pytest.raises(ValueError, match="skeleton bound must be >= 0"):
+            ray_filtration(T, 1, skeleton=-1)
 
     @given(small_matrices, st.data())
     @settings(max_examples=40, deadline=None)
@@ -355,17 +357,17 @@ class TestSubsetGaps:
         src, dst = _gap_inputs(rng, m, n, n_dst, kind, "int64")
         max_size = data.draw(st.integers(3, m))
         scanned = []
-        scan = dowker._scan
+        scan = dowker.scan_gaps
 
         def counting(x, rows, front):
             scanned.append(len(rows))
             return scan(x, rows, front)
 
-        dowker._scan = counting
+        dowker.scan_gaps = counting
         try:
             gaps = np.hstack([g for _, g in subset_gaps(src, dst, max_size)])
         finally:
-            dowker._scan = scan
+            dowker.scan_gaps = scan
         faces = subset_tables(m, max_size)
         verts = face_list(m, max_size)
         front = dst[:, undominated_columns(dst)]

@@ -67,6 +67,15 @@ class TestLoadMatrix:
             reports.append(json.loads(capsys.readouterr().out)["result"])
         assert reports[0] == reports[1]
 
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        data = b"1,2\n3,\xe9\n"
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(data)
+        with open(p, "rb") as fh:
+            for source in (data, p, fh):
+                with pytest.raises(IngestError, match=r"byte 0xe9 at offset 6 \(line 2\)"):
+                    load_matrix(source)
+
     def test_skip_header(self):
         M = load_matrix("c1,c2,c3\n1.0,2.0,3.0\n", skip_header=True)
         assert M.values.shape == (1, 3)

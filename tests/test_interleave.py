@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from qcsense import DataMatrix, interleaving_distance, order_table
 from qcsense.central import undominated_columns
-from qcsense.dowker import dowker_at
-from qcsense.interleave import CELLS, MAX_ROWS, InterleaveResult, _as_table, _least_gap
+from qcsense.dowker import SCAN_CELLS, dowker_at, scan_gaps
+from qcsense.interleave import MAX_ROWS, InterleaveResult, _as_table
 
 from conftest import random_order_table, random_tie_free_matrix
 
@@ -169,7 +169,8 @@ class TestValidation:
 
     def test_too_many_rows(self):
         vals = np.arange(18.0).reshape(9, 2)
-        with pytest.raises(ValueError, match=r"m=9 rows would check 2\^9 - 1 faces .*at most 8 rows"):
+        with pytest.raises(ValueError, match=r"m=9 rows would scan up to 126 maximal faces, "
+                                             r"each against its Pareto fronts; at most 8 rows"):
             interleaving_distance(DataMatrix(vals), DataMatrix(vals))
 
     def test_row_cap(self):
@@ -265,11 +266,11 @@ class TestParetoFronts:
         TA = order_table(_anti_correlated(rng, m, 300, ties))
         TB = order_table(_anti_correlated(rng, m, 260, ties))
         # at the full face each direction's source front spans several
-        # scan blocks of CELLS // (target front width) columns
+        # scan blocks of SCAN_CELLS // (target front width) columns
         width_a = undominated_columns(TA.ord).size
         width_b = undominated_columns(TB.ord).size
-        assert width_a > CELLS // width_b
-        assert width_b > CELLS // width_a
+        assert width_a > SCAN_CELLS // width_b
+        assert width_b > SCAN_CELLS // width_a
         self._check_every_skeleton(TA, TB)
 
     @pytest.mark.parametrize("ties", [False, True])
@@ -292,18 +293,32 @@ class TestParetoFronts:
         TB = random_order_table(rng, 3, 28, partner_ties)
         self._check_every_skeleton(TA, TB)
 
-    @given(st.integers(1, 8), st.integers(1, 400), st.integers(1, 300),
+    @given(st.integers(1, 8), st.integers(1, 400), st.integers(1, 300), st.booleans(),
            st.integers(0, 2**32 - 1))
-    @example(m=4, n_src=3 * (CELLS // 200) + 1, n_dst=200, seed=0)
+    @example(m=4, n_src=3 * (SCAN_CELLS // 200) + 1, n_dst=200, faces=False, seed=0)
+    @example(m=4, n_src=3 * (SCAN_CELLS // 200) + 1, n_dst=200, faces=True, seed=0)
     @settings(max_examples=60, deadline=None)
-    def test_scan_blocks_match_broadcast(self, m, n_src, n_dst, seed):
-        # the last column sits lowest, so the last block holds the least gap
+    def test_scan_blocks_match_broadcast(self, m, n_src, n_dst, faces, seed):
+        # Rows of x either read their own face of dst, as the births'
+        # fallback scan does, or all m rows through one broadcast view, as
+        # interleave does.  The last row sits lowest, so the last block
+        # holds the least gap.
         rng = np.random.Generator(np.random.PCG64(seed))
-        src = rng.integers(-50, 50, size=(m, n_src)).astype(np.int32)
         dst = rng.integers(-50, 50, size=(m, n_dst)).astype(np.int32)
-        src[:, -1] -= 200
-        want = (src[:, :, None] - dst[:, None, :]).min(axis=0).max(axis=1).min()
-        assert _least_gap(src, dst) == want
+        if faces:
+            size = int(rng.integers(1, m + 1))
+            rows = np.sort(rng.permuted(np.tile(np.arange(m), (n_src, 1)), axis=1)[:, :size],
+                           axis=1)
+        else:
+            rows = np.broadcast_to(np.arange(m), (n_src, m))
+        x = rng.integers(-50, 50, size=rows.shape).astype(np.int32)
+        x[-1] -= 200
+        mins = (x[:, :, None] - dst[rows]).min(axis=1)
+        gap, witness = scan_gaps(x, rows, dst)
+        assert gap.dtype == dst.dtype
+        assert np.array_equal(gap, mins.max(axis=1))
+        assert np.array_equal(witness, mins.argmax(axis=1))  # the first argmax
+        assert gap.min() == gap[-1]
 
 
 class TestAgainstBruteForce:
