@@ -91,7 +91,7 @@ def completeness_test(M: DataMatrix, threshold: float = 0.05) -> CompletenessRes
     threshold.  No calibrated test exists for finite n; the raw fraction
     is always reported and the threshold is the caller's responsibility.
     """
-    if threshold <= 0:
+    if not threshold > 0:  # NaN included
         raise ValueError("threshold must be positive")
     report = discretized_central_region(M)
     fraction = report.fraction

@@ -20,12 +20,13 @@ numerator max_i ord_i(a) - g, where the gap g = max_b min_{i in sigma}
 vector that some column b still sits under on sigma.  `subset_gaps`
 computes every gap of a block of columns at once.  The max needs only C,
 the columns no other column beats in every row, and `subset_gaps` takes
-that front of the table itself.  Faces of
-size 1 and 2 have closed forms: a row minimum, and the crossing point on
-a 2-D staircase.  A larger face takes the gap of its youngest facet
-whenever that facet's witness column also covers the one added row; only
-the (face, column) cells where it does not are scanned over C, by
-`scan_gaps`, the blocked max-min that `interleave` runs as well.
+that front of the table itself.  Faces of size 1 and 2 have closed forms:
+a row minimum, and the crossing point on the 2-D staircase that
+`face_fronts` takes as a pair's front.  A larger face takes the gap of
+its youngest facet whenever that facet's witness column also covers the
+one added row; only the (face, column) cells where it does not are
+scanned over C, by `scan_gaps`, the blocked max-min that `interleave`
+runs as well.
 `ray_births` is the same computation for one column.
 """
 
@@ -66,7 +67,7 @@ def _check_rows(m: int) -> None:
         raise ValueError(f"row count {m} exceeds bitmask capacity {MAX_ROWS}")
 
 
-def _skeleton(T: OrderTable, skeleton: int | None) -> int:
+def skeleton_bound(T: OrderTable, skeleton: int | None) -> int:
     """The checked skeleton bound on T's complexes, m - 1 by default."""
     _check_rows(T.m)
     if skeleton is None:
@@ -151,7 +152,7 @@ def dowker_at(T: OrderTable, t: Grades, skeleton: int | None = None) -> Simplici
     snapped to the 1/n grid within a 1e-9 guard.  `skeleton` bounds the
     retained face dimension; default is the full m-1.
     """
-    skeleton = _skeleton(T, skeleton)
+    skeleton = skeleton_bound(T, skeleton)
     r = _int_thresholds(T, t)
     below = T.ord <= r[:, None]  # (m, n)
     weights = np.uint64(1) << np.arange(T.m, dtype=np.uint64)
@@ -301,24 +302,46 @@ def subset_tables(m: int, max_size: int) -> FaceTables:
     return FaceTables(m, max_size, start, vertex_table, facet_table, cofacet_table, slot_table)
 
 
+def face_fronts(X: np.ndarray, faces: np.ndarray):
+    """Yield, for each row of faces (0-based rows of X, laid out as in
+    subset_tables(...).vertex_table), columns of X on which every max-min
+    over that face is attained.  When faces is two wide, face (i, j) keeps
+    its lower-left staircase in ascending order of X[i]: the columns that
+    no column before them in the lexicographic order of (X[i], X[j])
+    weakly beats on both rows (Kung, Luccio and Preparata, JACM 1975).
+    Other faces keep `central.undominated_columns(X[face])`.
+
+    A column left out is weakly beaten on every row of the face by a kept
+    one (follow the beating columns back along the sort, or up the strict
+    order of beating).  So it never sets a max over dst of min_i (src[i, a]
+    - dst[i, b]), whose terms the kept column makes no smaller, nor a min
+    over src of that max, whose terms it makes no larger.  A positive
+    scale of X keeps every front."""
+    if faces.shape[1] != 2:
+        return (undominated_columns(X[face]) for face in faces)
+    return (_staircase(X[i], X[j]) for i, j in faces.tolist())
+
+
+def _staircase(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # the knee (least max(p, q)) strictly beats every column it drops and
+    # none that weakly beats a survivor: the staircase does not change
+    knee = np.argmin(np.maximum(p, q))
+    order = np.flatnonzero((p <= p[knee]) | (q <= q[knee]))
+    order = order[np.lexsort((q[order], p[order]))]
+    low = np.minimum.accumulate(q[order])
+    return order[np.r_[True, low[1:] < low[:-1]]]
+
+
 def _staircases(front: np.ndarray, pairs: np.ndarray):
-    """The lower-left staircase of each row pair (i, j) of front, laid end
-    to end: per pair the columns b whose point (front[i, b], front[j, b])
-    no other column weakly beats in both rows, by ascending front[i, b].
-    Along a staircase p = front[i] rises strictly and q = front[j] falls
-    strictly, so p - q rises strictly.
+    """The staircases `face_fronts` takes of the row pairs (i, j) of
+    front, laid end to end.  Along a staircase p = front[i] rises strictly
+    and q = front[j] falls strictly, so p - q rises strictly.
 
     Returns (key, p, q, col, first, end, lo, span): pair r's steps sit at
     first[r] .. end[r]-1, col holds their columns, and key is p - q - lo
     + r*span, ascending over the whole array (lo and span are set so that
     every p - q lies in [lo + 1, lo + span - 1])."""
-    parts = []
-    for i, j in pairs.tolist():
-        order = np.lexsort((front[j], front[i]))
-        q = front[j, order]
-        keep = np.ones(len(q), dtype=bool)
-        keep[1:] = q[1:] < np.minimum.accumulate(q)[:-1]
-        parts.append(order[keep])
+    parts = list(face_fronts(front, pairs))
     col = np.concatenate(parts)
     lengths = np.array([len(c) for c in parts])
     end = np.cumsum(lengths)
@@ -398,8 +421,8 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
 
     - size 1: the gap of {v} is src[v, a] - min_b dst[v, b], witnessed by
       the column of that minimum;
-    - size 2: for sigma = {i, j} only the lower-left staircase of the
-      points (dst[i, b], dst[j, b]) matters (`_staircases`).  Along it
+    - size 2: for sigma = {i, j} only the staircase `face_fronts` takes
+      of the points (dst[i, b], dst[j, b]) matters.  Along it
       x - p_b falls and y - q_b rises (x = src[i, a], y = src[j, a]), so
       min(x - p_b, y - q_b) peaks where they cross: one searchsorted of
       x - y in the rising p - q finds the first step with p - q > x - y,
@@ -502,7 +525,7 @@ def ray_filtration(T: OrderTable, a: int, skeleton: int | None = None) -> Filtra
     final complex contains the full face on [m] (truncated to `skeleton`)
     because column a witnesses every row at its own rank vector.
     """
-    max_size = min(_skeleton(T, skeleton) + 1, T.m)
+    max_size = min(skeleton_bound(T, skeleton) + 1, T.m)
     births, tmax = ray_births(T, a, max_size)
     # a padded row repeats a vertex, which sets no extra bit
     bits = np.uint64(1) << subset_tables(T.m, max_size).vertex_table.astype(np.uint64)

@@ -305,6 +305,8 @@ def _column(bits: list[int]) -> int:
 def _lk_from_order(ord_arr: np.ndarray, d_up: int) -> tuple[np.ndarray, np.ndarray]:
     """(L numerators maxed over columns, (n, d_up+1) per-column numerator
     lengths)."""
+    if d_up < 0:
+        raise ValueError("d_up must be >= 0")
     m, n = ord_arr.shape
     max_size = min(d_up + 2, m)
     per_column = np.zeros((n, d_up + 1), dtype=np.int64)
@@ -330,8 +332,6 @@ def compute_Lk(
     T = M if isinstance(M, OrderTable) else order_table(M)
     if d_up is None:
         d_up = default_d_up(T.m)
-    if d_up < 0:
-        raise ValueError("d_up must be >= 0")
     L_num, per_col = _lk_from_order(T.ord, d_up)
     n = T.n
     L = tuple(float(x) / n for x in L_num)
@@ -348,7 +348,7 @@ def d_hat_low(P: LkProfile, epsilon: float) -> EstimateResult:
     """1 + max{k : L[k] > epsilon}; 0 with 'no-signal' when nothing
     clears the threshold, 'd_up-saturated' when the top index does (the
     true value may exceed the computed range)."""
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN included
         raise ValueError("epsilon must be positive")
     qualifying = [k for k, v in enumerate(P.L) if v > epsilon]
     flags = []

@@ -55,6 +55,12 @@ class PointCloud:
         return self.points.shape[1]
 
 
+def _check_sizes(d: int, m: int) -> None:
+    """Raise before any draw: the redraw loops never end in dimension 0."""
+    if m < 1 or d < 1:
+        raise ValueError("need m >= 1 functions in dimension d >= 1")
+
+
 @dataclass(frozen=True, eq=False)
 class RegularPairSpec:
     """A generated family of m scalar functions on the unit ball in R^d.
@@ -82,8 +88,7 @@ class RegularPairSpec:
     def __post_init__(self):
         if self.family not in ("linear", "quadratic"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.m < 1 or self.d < 1:
-            raise ValueError("need m >= 1 functions in dimension d >= 1")
+        _check_sizes(self.d, self.m)
         if self.family == "linear":
             if self.directions is None or self.centers is not None or self.forms is not None:
                 raise ValueError("linear family takes directions only")
@@ -119,6 +124,7 @@ class RegularPairSpec:
     @classmethod
     def random_linear(cls, d: int, m: int, seed: int) -> "RegularPairSpec":
         """m unit directions drawn from the sphere in R^d."""
+        _check_sizes(d, m)
         rng = np.random.Generator(np.random.PCG64(seed))
         dirs = rng.standard_normal((m, d))
         norms = np.linalg.norm(dirs, axis=1)
@@ -132,6 +138,7 @@ class RegularPairSpec:
     def random_quadratic(cls, d: int, m: int, seed: int) -> "RegularPairSpec":
         """m strictly convex quadratics: random orientations, eigenvalues
         in QUADRATIC_EIGENVALUE_RANGE, centers uniform in the 0.8-ball."""
+        _check_sizes(d, m)
         rng = np.random.Generator(np.random.PCG64(seed))
         lo, hi = QUADRATIC_EIGENVALUE_RANGE
         forms = np.empty((m, d, d))

@@ -25,12 +25,12 @@ class IngestError(ValueError):
 class NonNumericFieldError(IngestError):
     def __init__(self, row: int, col: int, text: str):
         self.row, self.col, self.text = row, col, text
-        super().__init__(
-            f"non-numeric field {text!r} at row {row}, column {col}"
-            " (load_matrix(skip_header=True) skips a header line)"
-            if row == 1
-            else f"non-numeric field {text!r} at row {row}, column {col}"
-        )
+        hint = ""
+        if "\t" in text or ";" in text:
+            hint = " (fields are comma-separated)"
+        elif row == 1:
+            hint = " (load_matrix(skip_header=True) skips a header line)"
+        super().__init__(f"non-numeric field {text!r} at row {row}, column {col}{hint}")
 
 
 class RaggedRowsError(IngestError):
@@ -57,11 +57,13 @@ class NonFiniteError(IngestError):
 
 @dataclass(frozen=True, eq=False)
 class DataMatrix:
-    """Validated m x n matrix of finite reals with tie-free rows.
+    """Validated m x n matrix of finite reals, with tie-free rows unless
+    check_ties=False admits ties.
 
     `warnings` records load-time notes (tie-breaking, resampling).  Tie
-    validation can be waived for matrices whose ranks are made
-    deterministic some other way (the column-index tie break).  The tie
+    validation is waived for matrices whose ranks are made deterministic
+    some other way: the column-index tie break of `load_matrix`, and
+    `geometry.sample_pair`, which redraws tied points itself.  The tie
     check's row sort is kept for the first `order_table` call.
     """
 
@@ -102,7 +104,8 @@ class DataMatrix:
 
 @dataclass(frozen=True, eq=False)
 class OrderTable:
-    """Per-row ranks of a matrix, the only array stored.
+    """Per-row ranks of a matrix, the only array stored: at least 1x1,
+    with integral entries in 1..n, as construction checks.
 
     ord[i][a] = 1-based rank of entry (i, a) within row i (exact ties by
     column index), so each row is a permutation of 1..n.  The derived
@@ -113,9 +116,13 @@ class OrderTable:
     ord: np.ndarray
 
     def __post_init__(self):
-        o = np.asarray(self.ord, dtype=np.int64)
-        if o.ndim != 2:
-            raise ValueError(f"rank table must be 2-d, got shape {o.shape}")
+        o = np.asarray(self.ord)
+        if o.ndim != 2 or not o.size:
+            raise ValueError(f"rank table must be 2-d and at least 1x1, got shape {o.shape}")
+        whole = o.dtype.kind in "biu" or bool((o == np.trunc(o)).all())
+        if not whole or o.min() < 1 or o.max() > o.shape[1]:
+            raise ValueError(f"ranks must be integers in 1..{o.shape[1]}")
+        o = o.astype(np.int64, copy=False)
         o.setflags(write=False)
         object.__setattr__(self, "ord", o)
 

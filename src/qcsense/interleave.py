@@ -38,35 +38,22 @@ C(m, s) maximal faces, and only those are scanned.  The certificate still
 counts every generator: a smaller face's is covered by a maximal face
 that contains it.
 
-Per-face fronts.  On a face sigma the min over b may skip every column
-of dst that another column beats on every row of sigma, since the beating
-column has a larger min.  The max over a may skip the same columns of
-src: if a' beats a on every row of sigma, then every term
-src[i,a'] - dst[i,b] is smaller than src[i,a] - dst[i,b], so
-g_sigma(a') < g_sigma(a) and a' needs more shift than a.  Strict beating
-is a strict order on finitely many columns, so a column off the front is
-beaten by one on it, ties or not.  Each maximal face therefore runs both
-directions over its own two fronts, the columns `undominated_columns`
-keeps from the face's rows of each table (Kung, Luccio and Preparata,
-"On finding the maxima of a set of vectors", JACM 1975).  A face of few
-rows has a front far narrower than the table's.  Each front is taken
-before the scaling, since a positive factor keeps it, and serves as src
-in one direction and as dst in the other.  Each direction is one run of
-`dowker.scan_gaps`, the blocked max-min behind the Dowker births, with
-every source column reading all rows of the face; the least of its gaps
-is that direction's.
+Per-face fronts.  On each maximal face both directions run over the
+columns `dowker.face_fronts` keeps of each table's rows of that face,
+whose docstring shows that every gap and every least shift is attained
+there.  Each direction is one run of `dowker.scan_gaps`, the blocked
+max-min behind the Dowker births, with every source column reading all
+rows of the face; the least of its gaps is that direction's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .central import undominated_columns
-from .dowker import scan_gaps
+from .dowker import face_fronts, scan_gaps, skeleton_bound, subset_tables
 from .ingest import DataMatrix, OrderTable, order_table
 
 # The scan runs the C(m, s) maximal faces, each over its two fronts, and
@@ -89,11 +76,11 @@ class InterleaveResult:
     is lcm(n_a, n_b); ``certificate`` counts the generator grades verified
     in each direction (A into shifted B, B into shifted A) at the reported
     shift: every (face, column) pair, faces times n_a resp. n_b.  Only the
-    maximal faces and their Pareto front columns are computed; any other
-    generator is verified through a maximal face containing its face and
-    a front column that beats its column on that face's rows, whose least
-    shift is at least its own.  The true infimum over real shifts lies in
-    (distance - 1/denominator, distance].
+    maximal faces and their fronts (`dowker.face_fronts`) are computed;
+    any other generator is verified through a maximal face containing its
+    face and a front column that weakly beats its column on that face's
+    rows, whose least shift is at least its own.  The true infimum over
+    real shifts lies in (distance - 1/denominator, distance].
     """
 
     distance: float
@@ -132,18 +119,6 @@ def _as_table(X) -> OrderTable:
     raise TypeError("expected an OrderTable or DataMatrix")
 
 
-def _face_fronts(ranks: np.ndarray, size: int, scale: int):
-    """Yield, for each size-subset sigma of the rows in `combinations`
-    order, the columns of ranks[sigma] that no other column beats on every
-    row of sigma, times scale.  A positive factor keeps a front, so only
-    its columns are scaled."""
-    for sigma in combinations(range(len(ranks)), size):
-        face = ranks[list(sigma)]
-        front = face[:, undominated_columns(face)]
-        front *= scale
-        yield front
-
-
 def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult:
     """Smallest merged-grid shift with mutual inclusion of the two filtrations.
 
@@ -163,22 +138,20 @@ def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult
             f"m={m} rows would scan up to {math.comb(m, m // 2)} maximal faces, "
             f"each against its Pareto fronts; at most {MAX_ROWS} rows supported"
         )
-    if skeleton is None:
-        skeleton = m - 1
-    if skeleton < 0:
-        raise ValueError("skeleton bound must be nonnegative")
-    max_size = min(skeleton + 1, m)
+    skeleton = skeleton_bound(TA, skeleton)
+    faces = subset_tables(m, min(skeleton + 1, m))
     n_a, n_b = TA.n, TB.n
     lcm = math.lcm(n_a, n_b)
     # scaled ranks lie in [1, lcm], their differences in (-lcm, lcm)
     dtype = np.int32 if lcm < 2**30 else np.int64
-    fronts = zip(_face_fronts(TA.ord.astype(dtype), max_size, lcm // n_a),
-                 _face_fronts(TB.ord.astype(dtype), max_size, lcm // n_b))
-    rows = np.arange(max_size)
+    xa, xb = (T.ord.astype(dtype) * (lcm // T.n) for T in (TA, TB))
+    maximal = faces.vertex_table[faces.start[faces.max_size]:]
+    fronts = ((xa[face][:, ca], xb[face][:, cb])
+              for face, ca, cb in zip(maximal, face_fronts(xa, maximal), face_fronts(xb, maximal)))
+    rows = np.arange(faces.max_size)
     gaps = (scan_gaps(src.T, np.broadcast_to(rows, src.T.shape), dst)[0].min()
             for fa, fb in fronts for src, dst in ((fa, fb), (fb, fa)))
     numerator = -int(min(gaps))
-    checked = sum(math.comb(m, size) for size in range(1, max_size + 1))
     return InterleaveResult(
         distance=numerator / lcm,
         numerator=numerator,
@@ -187,5 +160,5 @@ def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult
         n_a=n_a,
         n_b=n_b,
         skeleton=skeleton,
-        certificate=(checked * n_a, checked * n_b),
+        certificate=(faces.start[-1] * n_a, faces.start[-1] * n_b),
     )

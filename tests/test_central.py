@@ -137,6 +137,10 @@ class TestCompletenessTest:
         with pytest.raises(ValueError):
             completeness_test(example_matrix, threshold=0.0)
 
+    def test_nan_threshold_rejected(self, example_matrix):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            completeness_test(example_matrix, threshold=float("nan"))
+
     def test_json_shape(self, example_matrix):
         obj = completeness_test(example_matrix, threshold=0.05).to_json_obj()
         assert obj["verdict"] == "complete-evidence"

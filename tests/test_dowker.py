@@ -19,6 +19,7 @@ from qcsense.central import undominated_columns
 from qcsense.dowker import (
     BLOCK,
     MAX_ROWS,
+    face_fronts,
     subset_gaps,
     subset_tables,
 )
@@ -389,3 +390,34 @@ class TestSubsetGaps:
             must_certify += int((~can_fail).sum())
             cells += n
         assert must_scan <= sum(scanned) <= cells - must_certify
+
+
+class TestFaceFronts:
+    @given(st.integers(1, 4), st.integers(0, 3), st.integers(1, 60), st.integers(1, 60),
+           st.sampled_from((*KINDS, "anti-correlated")), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_every_max_min_is_attained_on_the_front(self, size, extra, n, n_other, kind, seed):
+        # g(a) = max_b min_{i in face} (src[i, a] - dst[i, b]): with X as
+        # dst the max over b, and with X as src the min over a of g, must
+        # not change when X keeps only its front's columns
+        rng = np.random.Generator(np.random.PCG64(seed))
+        m = size + extra
+        if kind == "anti-correlated":  # odd rows reverse the even ones
+            base = rng.permutation(n) + 1
+            X = np.where(np.arange(m)[:, None] % 2, n + 1 - base, base)
+        else:
+            X = _gap_table(rng, m, n, kind)
+        Y = _gap_table(rng, m, n_other, "tied" if kind == "anti-correlated" else kind)
+        faces = subset_tables(m, size)
+        top = faces.vertex_table[faces.start[size]:]  # every face of this size
+
+        def gap(src, dst):
+            return (src[:, :, None] - dst[:, None, :]).min(axis=0).max(axis=1)
+
+        for face, cols in zip(top, face_fronts(X, top)):
+            assert cols.size and np.unique(cols).size == cols.size
+            x, y = X[face], Y[face]
+            assert np.array_equal(gap(y, x[:, cols]), gap(y, x))
+            assert gap(x[:, cols], y).min() == gap(x, y).min()
+            if size == 2:
+                assert np.all(np.diff(x[0, cols]) > 0)

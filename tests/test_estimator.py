@@ -348,6 +348,21 @@ class TestDHatLow:
         with pytest.raises(ValueError):
             d_hat_low(P, -1.0)
 
+    def test_nan_epsilon_rejected(self):
+        P = LkProfile((0.5,), m=3, n=10, d_up=0, per_column=None)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            d_hat_low(P, float("nan"))
+
+
+@pytest.mark.parametrize("run", [
+    lambda M: compute_Lk(M, d_up=-1),
+    lambda M: subsample_points(M, 3, 2, d_up=-1),
+    lambda M: subsample_functions(M, 2, 2, d_up=-1),
+], ids=["compute_Lk", "subsample_points", "subsample_functions"])
+def test_negative_d_up_is_named(example_matrix, run):
+    with pytest.raises(ValueError, match="d_up must be >= 0"):
+        run(example_matrix)
+
 
 class TestBoxplotSummary:
     def test_quartiles_against_interpolation_oracle(self, rng):

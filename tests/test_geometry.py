@@ -103,6 +103,13 @@ class TestRegularPairSpec:
             )
 
     @pytest.mark.parametrize("family", ["linear", "quadratic"])
+    @pytest.mark.parametrize("d, m", [(0, 3), (-1, 3), (2, 0)], ids=["d0", "d-1", "m0"])
+    def test_random_families_check_sizes_before_drawing(self, family, d, m):
+        # a 0-dimensional draw has norm 0, which the redraw loops never leave
+        with pytest.raises(ValueError, match="need m >= 1 functions in dimension d >= 1"):
+            getattr(RegularPairSpec, f"random_{family}")(d=d, m=m, seed=0)
+
+    @pytest.mark.parametrize("family", ["linear", "quadratic"])
     def test_json_round_trip(self, family):
         make = getattr(RegularPairSpec, f"random_{family}")
         spec = make(d=2, m=3, seed=42)

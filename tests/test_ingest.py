@@ -15,6 +15,7 @@ from qcsense import (
     IngestError,
     NonFiniteError,
     NonNumericFieldError,
+    OrderTable,
     RaggedRowsError,
     compute_Lk,
     load_matrix,
@@ -86,6 +87,16 @@ class TestLoadMatrix:
         # the hint names the offending coordinates
         with pytest.raises(NonNumericFieldError, match="row 1, column 2"):
             load_matrix("1.0,oops\n")
+
+    @pytest.mark.parametrize("text, hint", [
+        ("1\t2\n3\t4\n", "(fields are comma-separated)"),
+        ("1;2\n3;4\n", "(fields are comma-separated)"),
+        ("c1,c2\n1.0,2.0\n", "(load_matrix(skip_header=True) skips a header line)"),
+    ], ids=["tab", "semicolon", "header"])
+    def test_error_names_the_separator_or_the_header(self, text, hint):
+        with pytest.raises(NonNumericFieldError) as err:
+            load_matrix(text)
+        assert str(err.value).endswith(f"at row 1, column 1 {hint}")
 
     def test_ragged_rows(self):
         with pytest.raises(RaggedRowsError):
@@ -188,6 +199,20 @@ class TestOrderTable:
             for k in range(T.n):
                 a = T.sequences[i, k]
                 assert T.ord[i, a - 1] == k + 1
+
+    @pytest.mark.parametrize("ranks", [[[1.5, 2], [1, 2]], [[0, 1]], [[1, 3]], [[np.nan, 1]]],
+                             ids=["fraction", "zero", "past-n", "nan"])
+    def test_rejects_ranks_outside_one_to_n(self, ranks):
+        with pytest.raises(ValueError, match=r"ranks must be integers in 1\.\.2"):
+            OrderTable(ranks)
+
+    def test_rejects_an_empty_table(self):
+        with pytest.raises(ValueError, match=r"at least 1x1, got shape \(2, 0\)"):
+            OrderTable(np.empty((2, 0)))
+
+    def test_accepts_shared_ranks(self):
+        # rows need not be permutations: tied entries may share a rank
+        assert OrderTable(np.array([[1.0, 1.0], [2.0, 1.0]])).ord.tolist() == [[1, 1], [2, 1]]
 
     @given(
         st.lists(

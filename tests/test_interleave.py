@@ -183,7 +183,7 @@ class TestValidation:
 
     def test_negative_skeleton(self):
         A = _table_from_rows([[1.0, 2.0]])
-        with pytest.raises(ValueError, match="skeleton"):
+        with pytest.raises(ValueError, match="skeleton bound must be >= 0"):
             interleaving_distance(A, A, skeleton=-1)
 
     def test_rejects_other_types(self):
