@@ -309,7 +309,8 @@ def face_fronts(X: np.ndarray, faces: np.ndarray):
     its lower-left staircase in ascending order of X[i]: the columns that
     no column before them in the lexicographic order of (X[i], X[j])
     weakly beats on both rows (Kung, Luccio and Preparata, JACM 1975).
-    Other faces keep `central.undominated_columns(X[face])`.
+    A one-row face keeps the columns at its row's minimum, and other
+    faces keep `central.undominated_columns(X[face])`.
 
     A column left out is weakly beaten on every row of the face by a kept
     one (follow the beating columns back along the sort, or up the strict
@@ -317,6 +318,8 @@ def face_fronts(X: np.ndarray, faces: np.ndarray):
     - dst[i, b]), whose terms the kept column makes no smaller, nor a min
     over src of that max, whose terms it makes no larger.  A positive
     scale of X keeps every front."""
+    if faces.shape[1] == 1:
+        return (np.flatnonzero(row == row.min()) for row in X[faces[:, 0]])
     if faces.shape[1] != 2:
         return (undominated_columns(X[face]) for face in faces)
     return (_staircase(X[i], X[j]) for i, j in faces.tolist())

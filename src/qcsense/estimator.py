@@ -9,12 +9,16 @@ single threshold call by a first-quartile test over replicates.
 Per column, lengths come from the gap table of `dowker.subset_gaps` by
 apparent pairs, clearing and a count of the pairs each dimension must
 have; only the columns those leave open go through the F2 reduction (see
-`_block_lengths`).
+`_block_lengths`).  Callers that need L alone (compute_Lk without
+per-column lengths, both subsampling modes) first bound every bar by a
+cone over one of the anchor's vertices and reduce only what can still
+raise a maximum (`_screen_block`, `_class_bounds`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Mapping
 
@@ -32,6 +36,20 @@ GENERATOR_NAME = "numpy.random.PCG64"
 # that of subset_gaps (0.578 MB), while 24 lifts it to 0.635 MB and 32 to
 # 0.744 MB: the chunk scratch is about 20 bytes a face per column.
 CHUNK = 16
+
+# The cone bound's apexes per anchor (its oldest vertices), the anchor
+# count from which L-only callers screen, and the (column, face) cells of
+# one bound pass.  Against reducing every column for L alone (medians of
+# interleaved runs on a shared 2-core x86 machine), the screen took x0.78
+# of the time on analyze-n1200 (m = 10, d_up = 3, n = 1,200) with 1 apex,
+# x0.64 with 2 or 3, x0.62 with 4 and x0.66 with 6.  On its columns
+# subsampled to n anchors it took x1.14 at n = 10, x0.92 at 20, x0.82 at
+# 40 and x0.66 at 100; on the functions-m10 replicates (n = 150) x0.90.  8192 cells keep the kernel's tracemalloc peak at the
+# births' on analyze-n1200 and lift functions-m10's op peak 5% (6144: 2%,
+# 2% slower on analyze).
+APEXES = 4
+SCREEN_MIN_N = 20
+CONE_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -201,6 +219,11 @@ def _block_lengths(gaps: np.ndarray, faces: FaceTables, out: np.ndarray) -> None
     Both passes work on CHUNK columns at a time: `_apparent` in numpy on
     the int16 gaps alone, and `_reduce_chunk` with one sort per chunk,
     leaving only the F2 reductions to run per column.
+
+    This is the per-column path.  A caller that needs only the maxima
+    over columns takes `_screen_block` instead, which runs both passes
+    only on the columns and dimensions whose cone bound (`_class_bounds`)
+    still beats the running maximum.
     """
     m, top = faces.m, faces.max_size - 2
     out[:, 0] = gaps[:m].max(axis=0)
@@ -295,6 +318,221 @@ def _free_faces(apparent, young, need, rev, faces) -> tuple[np.ndarray, list[int
     return face, [0, *np.cumsum(np.bincount(group, minlength=c * top)).tolist()]
 
 
+def _screen_block(gaps: np.ndarray, faces: FaceTables, best: np.ndarray):
+    """Bound the bars of the columns of one `subset_gaps` block, settle
+    what the bounds and apparent pairs can, and return (left, U, open):
+    the columns whose bound U[k-1] still beats best[k] for some dimension
+    k, U, and the rows (k, face, column, bound) of the faces whose bound
+    beats best and whose bar is unknown.
+
+    `_class_bounds` bounds the bar of each column born at each face, with
+    the column's APEXES oldest vertices as apexes.  Of the faces whose
+    bound beats best, `_apparent_faces` settles those in an apparent pair:
+    a destroyer creates no bar, and a creator's bar is known and raises
+    best."""
+    m, start, top = faces.m, faces.start, faces.max_size - 2
+    best[0] = max(best[0], gaps[:m].max())
+    apexes = np.argsort(~gaps[:m].T, axis=1)[:, :APEXES].T  # ties in any order
+    floor = best[1 : top + 1]
+    U = np.zeros((top, gaps.shape[1]), dtype=np.int64)
+    rows = []
+    for k in range(1, top + 1):
+        f, j, bound = _class_bounds(gaps, faces, k, floor[k - 1], apexes)
+        f += start[k + 1]
+        destroys, creates, tau = _apparent_faces(gaps, faces, k, f, j)
+        if creates.any():
+            known = gaps[f[creates], j[creates]] - gaps[tau[creates], j[creates]]
+            floor[k - 1] = max(floor[k - 1], known.max())
+        unknown = ~(destroys | creates) & (bound > floor[k - 1])
+        f, j, bound = f[unknown], j[unknown], bound[unknown]
+        np.maximum.at(U[k - 1], j, bound)
+        rows.append(np.stack([np.full(f.size, k), f, j, bound]))
+    return np.flatnonzero((U > floor[:, None]).any(axis=0)), U, np.concatenate(rows, axis=1)
+
+
+def _visit(gaps, U, open_, cols, faces: FaceTables, best: np.ndarray) -> None:
+    """Raise best by the columns cols that `_screen_block` left of gaps,
+    with their U and open faces: those whose bound still beats best go
+    through `_apparent` CHUNK at a time, most slack first.  A dimension is
+    marked finished before `_reduce_chunk` when no open face that may
+    still create an unknown bar (not `_barren`) has a bound beating the
+    longer of best and the apparent length.  Each chunk raises best
+    before the next is picked."""
+    start, top = faces.start, faces.max_size - 2
+    floor = best[1 : top + 1]
+    slack = (U[:, cols] - floor[:, None]).max(axis=0)
+    queue = cols[np.argsort(-slack, kind="stable")]
+    while queue.size:
+        chunk, queue = np.sort(queue[:CHUNK]), queue[CHUNK:]
+        g = gaps[:, chunk]
+        apparent, young, length, need = _apparent(g, faces)
+        bar = np.maximum(length, floor[:, None])  # what a reduction must beat
+        dims, face, col, bound = open_[:, np.isin(open_[2], chunk)]
+        col = np.searchsorted(chunk, col)
+        for k in np.flatnonzero(need.any(axis=1)).tolist():
+            mine = np.flatnonzero(dims == k + 1)
+            mine = mine[~_barren(apparent, young, faces, k + 1)[face[mine] - start[k + 2], col[mine]]]
+            reach = np.zeros(chunk.size, dtype=np.int64)
+            np.maximum.at(reach, col[mine], bound[mine])
+            need[k, reach <= bar[k]] = 0
+        out = np.zeros((chunk.size, top + 1), dtype=np.int64)
+        out[:, 1:] = length.T
+        if need.any():
+            _reduce_chunk(g, apparent, young, need, faces, out)
+        np.maximum(floor, out[:, 1:].max(axis=0), out=floor)
+        queue = queue[(U[:, queue] > floor[:, None]).any(axis=0)]
+
+
+def _apparent_faces(gaps, faces, k, f, j) -> tuple[np.ndarray, ...]:
+    """(destroys, creates, tau) for faces f of size k+1 at columns j of
+    gaps, by the rules of `_apparent`: tau is f's oldest cofacet (the first
+    cofacet slot with the greatest gap), creates says f is tau's youngest
+    facet (the first facet slot with the least gap), and destroys says f
+    is the oldest cofacet of its own youngest facet.  CONE_CELLS bounds
+    the (face, slot) cells gathered at once."""
+    m, B = faces.m, gaps.shape[1]
+    flat = gaps.ravel()
+
+    def pick(table, x, j, width, arg):
+        at = table[x, :width]
+        at *= B
+        at += j[:, None]
+        slot = arg(flat.take(at), axis=1)
+        return (at[np.arange(x.size), slot] - j) // B
+
+    out = np.empty((3, f.size), dtype=np.intp)
+    step = max(1, CONE_CELLS // m)
+    for i in range(0, f.size, step):
+        x, y = f[i : i + step], j[i : i + step]
+        young = pick(faces.facet_table, x - m, y, k + 1, np.argmin)
+        tau = pick(faces.cofacet_table, x, y, m - k - 1, np.argmax)
+        out[0, i : i + step] = pick(faces.cofacet_table, young, y, m - k, np.argmax) == x
+        out[1, i : i + step] = pick(faces.facet_table, tau - m, y, k + 2, np.argmin) == x
+        out[2, i : i + step] = tau
+    return out[0].astype(bool), out[1].astype(bool), out[2]
+
+
+def _barren(apparent, young, faces, k) -> np.ndarray:
+    """The size-(k+1) faces, by columns of `_apparent` output, that create
+    no unknown bar: the apparent destroyers of dimension k-1 and the
+    apparent creators of dimension k, the youngest facets of apparent
+    faces of size k+2."""
+    m, start = faces.m, faces.start
+    lo, rows = start[k + 1], slice(start[k + 2] - m, start[k + 3] - m)
+    barren = apparent[lo - m : start[k + 2] - m].copy()
+    tau, j = np.nonzero(apparent[rows])
+    barren[faces.facet_table[rows][tau, young[rows][tau, j]] - lo, j] = True
+    return barren
+
+
+def _class_bounds(gaps: np.ndarray, faces: FaceTables, k: int, floor,
+                  apexes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Bound the dimension-k bars of every column of gaps, 1 <= k <=
+    max_size-2, where a bar may beat floor: returns (i, j, bound) with
+    bound at least the length of column j's bar born at face start[k+1] +
+    i, for the faces whose bound beats floor; any other bar is no longer
+    than floor.  apexes[:, j] lists the apex vertices of column j.
+
+    The bound.  Take a bar born at sigma (size k+1) with gap g_sigma.  Its
+    representative cycle z, the reduction's V-column, lies on sigma and on
+    size-(k+1) faces older than sigma in the filtration order: on faces
+    rho <= sigma.  For a vertex v, once every rho + v with rho in z is
+    present, d(v * z') = z,
+    where z' is the part of z without v (the cone on v, as in the nerve
+    picture of Chowdhury and Memoli, "A functorial Dowker theorem and
+    persistent homology of asymmetric networks", JACT 2018): z is dead.
+    Hence the length is at most
+
+        g_sigma - max_v min_{rho <= sigma} g(rho + v),
+
+    where rho + v = rho when v is in rho: it imposes nothing beyond rho's
+    own gap, at least g_sigma.  rho + v has k+2 <= max_size vertices, so
+    its gap is in gaps.  Any subset of apexes gives a looser valid bound.
+
+    A single apex needs no sort: gaps fall along the filtration order, so
+    the max over sigma of g_sigma - min_{rho <= sigma} g(rho + v) is the
+    max over rho of g_rho - g(rho + v).  The columns that no single apex
+    settles are sorted by age once, the faces younger than every face
+    beating floor cut (no length exceeds its creator's gap), and the
+    prefix minima of each apex's cone gaps combine into each face's
+    bound.  CONE_CELLS bounds the (column, face) cells of a pass."""
+    m, start = faces.m, faces.start
+    lo, hi = start[k + 1], start[k + 2]
+    F, B = hi - lo, gaps.shape[1]
+    g = gaps[lo:hi]
+    live = g.max(axis=0) > floor  # no length exceeds its creator's gap
+    # the cone faces of the class, as flat offsets into gaps, one row per apex
+    tab = _cone_table(m, faces.max_size)[:, lo - m : hi - m] * B
+    # the sort key is the age, then the face in the low bits
+    shift = max(F - 1, 1).bit_length()
+    key_type = np.int32 if gaps.itemsize == 2 and shift <= 16 else np.int64
+    faces_up = np.arange(F, dtype=key_type)
+    step = max(1, CONE_CELLS // F)
+    written = []
+    for c0 in range(0, B, step):
+        c = np.flatnonzero(live[c0 : c0 + step]) + c0
+        if not c.size:
+            continue
+        gc = g.T[c]
+        cones = []  # each apex's cone gaps, for the columns no apex settles alone
+        keep = np.ones(c.size, dtype=bool)
+        for i, vertex in enumerate(apexes):
+            at = tab.take(vertex[c], axis=0)
+            at += c[:, None]
+            cones.append(gaps.take(at))
+            del at
+            keep &= (gc - cones[-1]).max(axis=1) > floor
+            # drop the settled columns: when a quarter is, and before the sort
+            if not keep.all() and (i == len(apexes) - 1 or 4 * keep.sum() < 3 * keep.size):
+                c, gc = c[keep], gc[keep]
+                cones = [h[keep] for h in cones]
+                keep = keep[keep]
+        if not c.size:
+            continue
+        key = np.ascontiguousarray(gc, dtype=key_type)
+        del gc
+        np.invert(key, out=key)
+        key <<= shift
+        key |= faces_up
+        key.sort(axis=1)  # the faces by age, oldest first
+        # through the youngest face that beats floor in some column
+        cut = np.count_nonzero(~(key.min(axis=0) >> shift) > floor)
+        ordered = (~(key[:, :cut] >> shift)).astype(gaps.dtype)
+        flat = (key[:, :cut] & key_type((1 << shift) - 1)).astype(np.intp)
+        del key
+        flat += (np.arange(c.size) * F)[:, None]  # into the rows of cones
+        each = None
+        while cones:
+            h = cones.pop().take(flat)
+            np.minimum.accumulate(h, axis=1, out=h)
+            np.subtract(ordered, h, out=h)
+            each = h if each is None else np.minimum(each, h, out=each)  # each face's bound
+        rows, at = np.nonzero(each > floor)
+        written.append((flat[rows, at] - rows * F, c[rows], each[rows, at]))
+    if not written:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, gaps.dtype)
+    return tuple(np.concatenate(x) for x in zip(*written))
+
+
+@lru_cache(maxsize=None)
+def _cone_table(m: int, max_size: int) -> np.ndarray:
+    """cone[v, f - m] = the index of face f + vertex v, f itself when v is
+    in f, for the faces f of sizes 2 .. max_size-1 of subset_tables(m,
+    max_size).  Adding v to a face past t of its vertices below v takes
+    cofacet slot v - t."""
+    faces = subset_tables(m, max_size)
+    start = faces.start
+    cone = np.empty((m, start[max_size] - m), dtype=np.intp)
+    for s in range(2, max_size):
+        f = np.arange(start[s], start[s + 1])
+        verts = faces.vertex_table[f, :s]
+        for v in range(m):
+            slot = v - (verts < v).sum(axis=1)
+            inside = (verts == v).any(axis=1)
+            cone[v, f - m] = np.where(inside, f, faces.cofacet_table[f, np.minimum(slot, m - 2)])
+    return cone
+
+
 def _column(bits: list[int]) -> int:
     col = 0
     for x in bits:
@@ -302,22 +540,56 @@ def _column(bits: list[int]) -> int:
     return col
 
 
-def _lk_from_order(ord_arr: np.ndarray, d_up: int) -> tuple[np.ndarray, np.ndarray]:
+def _lk_from_order(ord_arr: np.ndarray, d_up: int, per_column: bool = True):
     """(L numerators maxed over columns, (n, d_up+1) per-column numerator
-    lengths)."""
+    lengths, or None when per_column is False).
+
+    Without per-column lengths only the running maxima are kept, and from
+    SCREEN_MIN_N columns on each block goes through `_screen_block`: only
+    the columns and dimensions whose cone bound can still raise a maximum
+    reach `_visit` and the reduction."""
     if d_up < 0:
         raise ValueError("d_up must be >= 0")
     m, n = ord_arr.shape
     max_size = min(d_up + 2, m)
-    per_column = np.zeros((n, d_up + 1), dtype=np.int64)
     faces = subset_tables(m, max_size)
     # Rank differences lie in (-n, n): int16 halves the memory traffic of
     # the fallback scans and keeps the witness columns small.
     ranks = ord_arr.astype(np.int16 if n < 2**15 else np.int32)
+    lengths = np.zeros((n, d_up + 1), dtype=np.int64) if per_column else None
+    best = np.zeros(d_up + 1, dtype=np.int64)
+    screen = not per_column and n >= SCREEN_MIN_N and max_size >= 3
+    pool = []  # copies of the columns the screen left, fewer than CHUNK a block
     for cols, gaps in subset_gaps(ranks, ranks, max_size):
-        _block_lengths(gaps, faces, per_column[cols.start : cols.stop])
+        if screen:
+            left, U, open_ = _screen_block(gaps, faces, best)
+            if left.size >= CHUNK:
+                _visit(gaps, U, open_, left, faces, best)
+            elif left.size:  # every open face's column is left
+                open_[2] = np.searchsorted(left, open_[2])
+                pool.append((gaps[:, left], U[:, left], open_))
+                if sum(part[0].shape[1] for part in pool) >= CHUNK:
+                    _visit_pool(pool, faces, best)
+        else:
+            out = lengths[cols.start : cols.stop] if per_column else \
+                np.zeros((len(cols), d_up + 1), dtype=np.int64)
+            _block_lengths(gaps, faces, out)
+            np.maximum(best, out.max(axis=0), out=best)
         del gaps  # no block outlives its use while the next one is built
-    return per_column.max(axis=0), per_column
+    _visit_pool(pool, faces, best)
+    return best, lengths
+
+
+def _visit_pool(pool: list, faces: FaceTables, best: np.ndarray) -> None:
+    """`_visit` the pooled columns of several blocks together, and empty
+    the pool."""
+    if pool:
+        offset = np.cumsum([0] + [part[0].shape[1] for part in pool[:-1]])
+        for (_, _, open_), shift in zip(pool, offset):
+            open_[2] += shift
+        gaps, U, open_ = (np.concatenate(part, axis=1) for part in zip(*pool))
+        pool.clear()
+        _visit(gaps, U, open_, np.arange(gaps.shape[1]), faces, best)
 
 
 def compute_Lk(
@@ -332,7 +604,7 @@ def compute_Lk(
     T = M if isinstance(M, OrderTable) else order_table(M)
     if d_up is None:
         d_up = default_d_up(T.m)
-    L_num, per_col = _lk_from_order(T.ord, d_up)
+    L_num, per_col = _lk_from_order(T.ord, d_up, per_column)
     n = T.n
     L = tuple(float(x) / n for x in L_num)
     records = None
@@ -387,7 +659,7 @@ def subsample_points(
     for idx in draws:
         # each row of T.ord is a permutation of 1..n, so ranking the drawn
         # entries re-ranks the submatrix with ties in column-index order
-        L_num, _ = _lk_from_order(rank_rows(T.ord[:, idx]), d_up)
+        L_num, _ = _lk_from_order(rank_rows(T.ord[:, idx]), d_up, per_column=False)
         rows.append(L_num / float(n_s))
         if progress is not None:
             progress(len(rows), reps)
@@ -418,7 +690,7 @@ def subsample_functions(
     draws = [rng.choice(M.m, size=m_s, replace=False) for _ in range(reps)]
     rows = []
     for idx in draws:
-        L_num, _ = _lk_from_order(T.ord[idx], d_up)
+        L_num, _ = _lk_from_order(T.ord[idx], d_up, per_column=False)
         rows.append(L_num / float(M.n))
         if progress is not None:
             progress(len(rows), reps)

@@ -122,7 +122,7 @@ class OrderTable:
         whole = o.dtype.kind in "biu" or bool((o == np.trunc(o)).all())
         if not whole or o.min() < 1 or o.max() > o.shape[1]:
             raise ValueError(f"ranks must be integers in 1..{o.shape[1]}")
-        o = o.astype(np.int64, copy=False)
+        o = o.astype(np.int64)  # a copy: the caller's array stays as it was
         o.setflags(write=False)
         object.__setattr__(self, "ord", o)
 

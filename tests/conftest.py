@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qcsense import DataMatrix, load_matrix, order_table
+from qcsense import DataMatrix, OrderTable, load_matrix, order_table
 from qcsense.dowker import BLOCK
 
 # 2x4 worked example: row order sequences (3,4,2,1) and (2,1,3,4).
@@ -39,6 +39,13 @@ def random_order_table(rng, m: int, n: int, ties: bool):
         vals = rng.integers(0, 4, size=(m, n)).astype(float)
         return order_table(DataMatrix(vals, check_ties=False))
     return order_table(random_tie_free_matrix(rng, m, n))
+
+
+def shared_rank_table(rng, m: int, n: int) -> OrderTable:
+    """Ranks of a four-level matrix with tied entries sharing a rank:
+    ord[i, a] = #{b : M[i, b] <= M[i, a]}."""
+    vals = rng.integers(0, 4, size=(m, n))
+    return OrderTable((vals[:, None, :] <= vals[:, :, None]).sum(axis=2))
 
 
 def face_list(m: int, max_size: int) -> list[tuple[int, ...]]:

@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcsense import DataMatrix, RegularPairSpec, load_matrix, order_table
+from qcsense import (DataMatrix, OrderTable, RegularPairSpec, compute_Lk, load_matrix,
+                     order_table, sample_pair)
 from qcsense.cli import _emit, build_parser, main
+from qcsense.ingest import rank_rows
 
 from conftest import EXAMPLE_CSV
 
@@ -128,6 +130,44 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--input", example_csv, "--epsilon", "0"])
         assert exc.value.code == 2
+
+
+class TestKernelModes:
+    """The L-only kernel behind analyze and subsample agrees with the
+    per-column one."""
+
+    @pytest.fixture
+    def sensed_csv(self, tmp_path):
+        M = sample_pair(RegularPairSpec.random_quadratic(d=3, m=8, seed=7), n=160, seed=3)[1]
+        path = tmp_path / "sensed.csv"
+        path.write_text(M.to_csv())
+        return str(path), M
+
+    def test_analyze_l_with_and_without_per_column(self, capsys, sensed_csv):
+        src, _ = sensed_csv
+        reports = [json.loads(run_cli(capsys, ["analyze", "--input", src, "--dup", "3", *flag])[1])
+                   for flag in ([], ["--per-column"])]
+        assert reports[0]["result"]["L"] == reports[1]["result"]["L"]
+        assert "per_column" not in reports[0]["result"]
+
+    @pytest.mark.parametrize("mode,size", [("points", 60), ("functions", 5)])
+    def test_replicates_are_per_column_maxima(self, capsys, sensed_csv, tmp_path, mode, size):
+        src, M = sensed_csv
+        csv = tmp_path / "reps.csv"
+        code, _, _ = run_cli(capsys, ["subsample", "--input", src, "--mode", mode, "--size", str(size),
+                                      "--reps", "4", "--dup", "3", "--seed", "11",
+                                      "--replicates-csv", str(csv)])
+        assert code == 0
+        T = order_table(M)
+        rng = np.random.Generator(np.random.PCG64(11))
+        rows = ["L0,L1,L2,L3"]
+        for _ in range(4):
+            idx = rng.choice(M.n if mode == "points" else M.m, size=size, replace=False)
+            ranks = rank_rows(T.ord[:, idx]) if mode == "points" else T.ord[idx]
+            P = compute_Lk(OrderTable(ranks), d_up=3, per_column=True)
+            assert P.L == tuple(max(P.per_column[a][k] for a in P.per_column) for k in range(4))
+            rows.append(",".join(repr(float(x)) for x in P.L))
+        assert csv.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 class TestStrictMode:

@@ -393,6 +393,14 @@ class TestSubsetGaps:
 
 
 class TestFaceFronts:
+    @given(st.integers(1, 4), st.integers(1, 80), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_row_faces_keep_the_row_minimum(self, m, n, kind, seed):
+        X = _gap_table(np.random.Generator(np.random.PCG64(seed)), m, n, kind)
+        vertices = subset_tables(m, 1).vertex_table
+        for v, cols in zip(vertices, face_fronts(X, vertices)):
+            assert np.array_equal(cols, undominated_columns(X[v]))
+
     @given(st.integers(1, 4), st.integers(0, 3), st.integers(1, 60), st.integers(1, 60),
            st.sampled_from((*KINDS, "anti-correlated")), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)

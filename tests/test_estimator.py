@@ -13,11 +13,13 @@ from qcsense import (
     BoxplotSummary,
     DataMatrix,
     LkProfile,
+    RegularPairSpec,
     compute_Lk,
     d_hat_low,
     decide_dimension,
     load_matrix,
     order_table,
+    sample_pair,
     subsample_functions,
     subsample_points,
 )
@@ -32,6 +34,7 @@ from conftest import (
     prefix_gaps,
     random_order_table,
     random_tie_free_matrix,
+    shared_rank_table,
 )
 
 
@@ -320,6 +323,95 @@ class TestStoppingRulePremise:
             assert pairs[pos[sigma]] == pos[tau]
             found += 1
         assert found > 0
+
+
+TABLE_KINDS = ("tie-free", "tied", "shared")
+
+
+def kind_table(m: int, n: int, kind: str, seed: int) -> np.ndarray:
+    """Ranks of a tie-free matrix, of a tied one with ties by column index,
+    or of a tied one with shared ranks."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if kind == "shared":
+        return shared_rank_table(rng, m, n).ord
+    return random_order_table(rng, m, n, kind == "tied").ord
+
+
+class TestConeBound:
+    """The certificate on its own: every column's dimension-k length is at
+    most the cone bound of its faces, or the floor, for any apex set."""
+
+    @given(st.integers(3, 8), st.integers(1, 70), st.sampled_from(TABLE_KINDS),
+           st.integers(0, 2**32 - 1), st.data())
+    @example(m=4, n=9, kind="shared", seed=0, data=None)
+    @settings(max_examples=150, deadline=None)
+    def test_lengths_within_bound(self, m, n, kind, seed, data):
+        ord_arr = kind_table(m, n, kind, seed)
+        draw = (lambda s, default: default) if data is None else (lambda s, _: data.draw(s))
+        d_up = draw(st.integers(1, 5), 3)
+        apex_count = draw(st.integers(1, m), 1)
+        floor = draw(st.one_of(st.just(0), st.integers(0, n)), 0)
+        max_size = min(d_up + 2, m)
+        faces = subset_tables(m, max_size)
+        want = reference_lengths(ord_arr, d_up)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        ranks = ord_arr.astype(np.int16)
+        for cols, gaps in subset_gaps(ranks, ranks, max_size):
+            # each column tries its own apex set
+            apexes = np.argsort(rng.random((m, len(cols))), axis=0)[:apex_count]
+            for k in range(1, max_size - 1):
+                _, j, bound = estimator._class_bounds(gaps, faces, k, floor, apexes)
+                assert np.all(bound > floor)
+                reach = np.full(len(cols), floor)
+                np.maximum.at(reach, j, bound)
+                assert np.all(want[cols, k] <= reach)
+
+
+class TestScreen:
+    """compute_Lk without per-column lengths bounds each column, settles
+    apparent pairs and reduces only what can still raise a maximum; its L
+    is the maximum of the per-column lengths."""
+
+    @given(st.integers(3, 8), st.one_of(st.sampled_from(EDGE_N), st.integers(4, 70)),
+           st.sampled_from(TABLE_KINDS), st.integers(0, 2**32 - 1), st.integers(1, 5))
+    @example(m=6, n=2 * BLOCK + 3, kind="tie-free", seed=4, d_up=3)
+    @example(m=8, n=BLOCK + 1, kind="shared", seed=5, d_up=5)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_column_maximum(self, m, n, kind, seed, d_up):
+        ord_arr = kind_table(m, n, kind, seed)
+        want, _ = _lk_from_order(ord_arr, d_up)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "SCREEN_MIN_N", 1)  # screen every table
+            L, per_column = _lk_from_order(ord_arr, d_up, per_column=False)
+        assert per_column is None
+        assert np.array_equal(L, want)
+
+    def test_reduces_few_columns(self, monkeypatch):
+        M = sample_pair(RegularPairSpec.random_quadratic(d=3, m=10, seed=7), n=400, seed=1)[1]
+        want = compute_Lk(M, d_up=3).L
+        visited = []
+        apparent = estimator._apparent
+        monkeypatch.setattr(estimator, "_apparent",
+                            lambda g, faces: visited.append(g.shape[1]) or apparent(g, faces))
+        assert compute_Lk(M, d_up=3, per_column=False).L == want
+        assert 0 < sum(visited) < M.n // 4
+
+    @given(st.integers(3, 8), st.integers(1, 40), st.sampled_from(TABLE_KINDS),
+           st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_apparent_faces_match_apparent_pass(self, m, n, kind, seed, data):
+        ord_arr = kind_table(m, n, kind, seed).astype(np.int16)
+        max_size = data.draw(st.integers(3, m))
+        faces = subset_tables(m, max_size)
+        (_, gaps), = subset_gaps(ord_arr, ord_arr, max_size)
+        apparent, young, _, _ = _apparent(gaps, faces)
+        for k in range(1, max_size - 1):
+            lo, hi = faces.start[k + 1], faces.start[k + 2]
+            f, j = (a.ravel() for a in np.meshgrid(np.arange(lo, hi), np.arange(n), indexing="ij"))
+            destroys, creates, _ = estimator._apparent_faces(gaps, faces, k, f, j)
+            assert np.array_equal(destroys, apparent[f - m, j])
+            barren = estimator._barren(apparent, young, faces, k)
+            assert np.array_equal(destroys | creates, barren[f - lo, j])
 
 
 class TestDHatLow:

@@ -210,6 +210,13 @@ class TestOrderTable:
         with pytest.raises(ValueError, match=r"at least 1x1, got shape \(2, 0\)"):
             OrderTable(np.empty((2, 0)))
 
+    def test_copies_the_callers_array(self):
+        a = np.array([[1, 2], [2, 1]])
+        T = OrderTable(a)
+        assert a.flags.writeable and T.ord is not a
+        a[0, 0] = 2
+        assert T.ord.tolist() == [[1, 2], [2, 1]] and not T.ord.flags.writeable
+
     def test_accepts_shared_ranks(self):
         # rows need not be permutations: tied entries may share a rank
         assert OrderTable(np.array([[1.0, 1.0], [2.0, 1.0]])).ord.tolist() == [[1, 1], [2, 1]]
