@@ -37,18 +37,16 @@ GENERATOR_NAME = "numpy.random.PCG64"
 # 0.744 MB: the chunk scratch is about 20 bytes a face per column.
 CHUNK = 16
 
-# The cone bound's apexes per anchor (its oldest vertices), the anchor
-# count from which L-only callers screen, and the (column, face) cells of
-# one bound pass.  Against reducing every column for L alone (medians of
-# interleaved runs on a shared 2-core x86 machine), the screen took x0.78
-# of the time on analyze-n1200 (m = 10, d_up = 3, n = 1,200) with 1 apex,
-# x0.64 with 2 or 3, x0.62 with 4 and x0.66 with 6.  On its columns
-# subsampled to n anchors it took x1.14 at n = 10, x0.92 at 20, x0.82 at
-# 40 and x0.66 at 100; on the functions-m10 replicates (n = 150) x0.90.  8192 cells keep the kernel's tracemalloc peak at the
-# births' on analyze-n1200 and lift functions-m10's op peak 5% (6144: 2%,
-# 2% slower on analyze).
+# The cone bound's apexes per anchor (its oldest vertices) and the
+# (column, face) cells of one bound pass.  Against reducing every column
+# for L alone (medians of interleaved runs on a shared 2-core x86
+# machine), the screen took x0.78 of the time on analyze-n1200 (m = 10,
+# d_up = 3, n = 1,200) with 1 apex, x0.64 with 2 or 3, x0.62 with 4 and
+# x0.66 with 6, and x0.90 on the functions-m10 replicates (n = 150).
+# 8192 cells keep the kernel's tracemalloc peak at the births' on
+# analyze-n1200 and lift functions-m10's op peak 5% (6144: 2%, 2% slower
+# on analyze).
 APEXES = 4
-SCREEN_MIN_N = 20
 CONE_CELLS = 8192
 
 
@@ -302,15 +300,12 @@ def _free_faces(apparent, young, need, rev, faces) -> tuple[np.ndarray, list[int
     max_size - 2."""
     m, start, top = faces.m, faces.start, faces.max_size - 2
     c, S = rev.shape
-    free = ~apparent[: start[top + 2] - m]
-    creators = apparent[start[3] - m :].copy()
+    free = np.zeros((start[top + 2] - m, c), dtype=bool)
     for k in range(1, top + 1):
         unfinished = need[k - 1] > 0
-        free[start[k + 1] - m : start[k + 2] - m] &= unfinished
-        creators[start[k + 2] - start[3] : start[k + 3] - start[3]] &= unfinished
-    # a creator is the youngest facet of its apparent face of size k+2
-    tau, j = np.divmod(np.flatnonzero(creators) + (start[3] - m) * c, c)
-    free[faces.facet_table.T.take(young[tau, j] * np.intp(S - m) + tau) - m, j] = False
+        if unfinished.any():
+            rows = slice(start[k + 1] - m, start[k + 2] - m)
+            free[rows] = ~_barren(apparent, young, faces, k) & unfinished
     j, face = np.nonzero(free.T)
     face += m
     group = j * top + np.searchsorted(start, face, side="right") - 3  # (column, dimension)
@@ -414,9 +409,10 @@ def _apparent_faces(gaps, faces, k, f, j) -> tuple[np.ndarray, ...]:
 
 def _barren(apparent, young, faces, k) -> np.ndarray:
     """The size-(k+1) faces, by columns of `_apparent` output, that create
-    no unknown bar: the apparent destroyers of dimension k-1 and the
-    apparent creators of dimension k, the youngest facets of apparent
-    faces of size k+2."""
+    no bar a reduction must find: the apparent destroyers of dimension
+    k-1 and the apparent creators of dimension k, the youngest facets of
+    apparent faces of size k+2.  `_free_faces` feeds the reduction the
+    rest; `_visit` bounds only the rest."""
     m, start = faces.m, faces.start
     lo, rows = start[k + 1], slice(start[k + 2] - m, start[k + 3] - m)
     barren = apparent[lo - m : start[k + 2] - m].copy()
@@ -544,10 +540,10 @@ def _lk_from_order(ord_arr: np.ndarray, d_up: int, per_column: bool = True):
     """(L numerators maxed over columns, (n, d_up+1) per-column numerator
     lengths, or None when per_column is False).
 
-    Without per-column lengths only the running maxima are kept, and from
-    SCREEN_MIN_N columns on each block goes through `_screen_block`: only
-    the columns and dimensions whose cone bound can still raise a maximum
-    reach `_visit` and the reduction."""
+    Without per-column lengths only the running maxima are kept, and each
+    block goes through `_screen_block`: only the columns and dimensions
+    whose cone bound can still raise a maximum reach `_visit` and the
+    reduction."""
     if d_up < 0:
         raise ValueError("d_up must be >= 0")
     m, n = ord_arr.shape
@@ -558,38 +554,19 @@ def _lk_from_order(ord_arr: np.ndarray, d_up: int, per_column: bool = True):
     ranks = ord_arr.astype(np.int16 if n < 2**15 else np.int32)
     lengths = np.zeros((n, d_up + 1), dtype=np.int64) if per_column else None
     best = np.zeros(d_up + 1, dtype=np.int64)
-    screen = not per_column and n >= SCREEN_MIN_N and max_size >= 3
-    pool = []  # copies of the columns the screen left, fewer than CHUNK a block
+    screen = not per_column and max_size >= 3
     for cols, gaps in subset_gaps(ranks, ranks, max_size):
         if screen:
             left, U, open_ = _screen_block(gaps, faces, best)
-            if left.size >= CHUNK:
+            if left.size:
                 _visit(gaps, U, open_, left, faces, best)
-            elif left.size:  # every open face's column is left
-                open_[2] = np.searchsorted(left, open_[2])
-                pool.append((gaps[:, left], U[:, left], open_))
-                if sum(part[0].shape[1] for part in pool) >= CHUNK:
-                    _visit_pool(pool, faces, best)
         else:
             out = lengths[cols.start : cols.stop] if per_column else \
                 np.zeros((len(cols), d_up + 1), dtype=np.int64)
             _block_lengths(gaps, faces, out)
             np.maximum(best, out.max(axis=0), out=best)
         del gaps  # no block outlives its use while the next one is built
-    _visit_pool(pool, faces, best)
     return best, lengths
-
-
-def _visit_pool(pool: list, faces: FaceTables, best: np.ndarray) -> None:
-    """`_visit` the pooled columns of several blocks together, and empty
-    the pool."""
-    if pool:
-        offset = np.cumsum([0] + [part[0].shape[1] for part in pool[:-1]])
-        for (_, _, open_), shift in zip(pool, offset):
-            open_[2] += shift
-        gaps, U, open_ = (np.concatenate(part, axis=1) for part in zip(*pool))
-        pool.clear()
-        _visit(gaps, U, open_, np.arange(gaps.shape[1]), faces, best)
 
 
 def compute_Lk(

@@ -380,9 +380,7 @@ class TestScreen:
     def test_matches_per_column_maximum(self, m, n, kind, seed, d_up):
         ord_arr = kind_table(m, n, kind, seed)
         want, _ = _lk_from_order(ord_arr, d_up)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimator, "SCREEN_MIN_N", 1)  # screen every table
-            L, per_column = _lk_from_order(ord_arr, d_up, per_column=False)
+        L, per_column = _lk_from_order(ord_arr, d_up, per_column=False)
         assert per_column is None
         assert np.array_equal(L, want)
 
