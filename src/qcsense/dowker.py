@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, pairwise
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -45,16 +45,21 @@ from .ingest import OrderTable
 
 MAX_ROWS = 64  # bitmask capacity; one machine word
 
-# Source columns per subset_gaps block, the (face, column) cells per
-# certificate chunk and the (row, column of C) cells per scan_gaps chunk:
-# together they bound the scratch of subset_gaps.
+# Source columns per subset_gaps block at most, the (face, column) cells
+# per certificate chunk and the (row, column of C) cells per scan_gaps
+# chunk: together they bound the scratch of subset_gaps.  Blocks share the
+# columns evenly (150 columns as 75 + 75, not 128 + 22), so a table a
+# little wider than BLOCK holds no full-width block.
 BLOCK = 128
 CELLS = 8192
 SCAN_CELLS = 32768
 
 # Faces subset_tables builds at most.  Measured at (m, max_size) = (20, 8),
-# 263,949 faces: the build peaks at 78 MB and compute_Lk on 64 columns adds
-# 313 MB (tracemalloc), 1.5 KB a face, so the cap stays near 0.8 GB.
+# 263,949 faces, on a uniform 64-column table (tracemalloc): the build
+# peaks at 78 MB, and compute_Lk adds 323 MB with per-column lengths (1.2
+# KB a face) and 738 MB without (2.8 KB a face: while the running maxima
+# are low, the L-only screen keeps most (face, column) cells open).  At
+# the cap that is about 0.8 and 1.6 GB.
 MAX_FACES = 2**19
 
 GRID_SNAP = 1e-9  # rescue k/n thresholds from float round-off
@@ -438,12 +443,18 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
       g_tau >= v: then g_tau = v and b* witnesses tau.  Otherwise
       `scan_gaps` runs the full max over C for that (face, column) alone,
       and its first argmax is the witness.  Any argmax serves: the proof
-      only needs min over f at b* to equal g_f.
+      only needs min over f at b* to equal g_f.  The facet loop keeps
+      only v and the 8-bit slot of the first facet attaining it (facet
+      slot t drops vertex slot t, so the slot also names w); b* and w are
+      gathered once, after the loop.
 
     The certificate costs a few gathers per cell against |sigma| |C| for
-    the scan.  CELLS bounds the (face, column) cells handled at once and
-    SCAN_CELLS the scan's (face, column of C) cells.  Differences, and
-    so the gaps, are in the dtype of src - dst, which must hold them.
+    the scan.  The n columns go in the fewest blocks of at most BLOCK
+    columns, with widths that differ by at most one; CELLS bounds the
+    (face, column) cells handled at once and SCAN_CELLS the scan's (face,
+    column of C) cells.  Only the gaps outlive a block's build.
+    Differences, and so the gaps, are in the dtype of src - dst, which
+    must hold them.
     """
     m, n = src.shape
     faces = subset_tables(m, max_size)
@@ -455,12 +466,10 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
     low = front[np.arange(m), low_at]
     if faces.max_size > 1:
         stairs = _staircases(front, faces.vertex_table[m : start[3], :2])
-    width = front.shape[1]
-    for first in range(0, n, BLOCK):
-        stop = min(first + BLOCK, n)
+    blocks = -(-n // BLOCK)
+    for first, stop in pairwise(n * i // blocks for i in range(blocks + 1)):
         block = np.ascontiguousarray(src[:, first:stop])
         B = stop - first
-        columns = np.arange(B)
         gaps = np.empty((start[-1], B), dtype=work)
         wit = np.empty((start[-1], B), dtype=wit_type)
         gaps[:m] = block - low[:, None]
@@ -469,39 +478,59 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
         for size in range(2, faces.max_size + 1):
             for r0 in range(start[size], start[size + 1], step):
                 r = slice(r0, min(r0 + step, start[size + 1]))
-                verts = faces.vertex_table[r, :size]
                 if size == 2:
-                    gaps[r], wit[r] = _pair_gaps(block, verts, np.arange(r0 - m, r.stop - m), stairs)
-                    continue
-                facets = faces.facet_table[r0 - m : r.stop - m]
-                v = gaps[facets[:, 0]]
-                b = wit[facets[:, 0]]
-                w = np.empty(v.shape, dtype=np.int8)
-                w[:] = verts[:, :1]
-                for t in range(1, size):
-                    g = gaps[facets[:, t]]
-                    younger = g < v
-                    np.copyto(v, g, where=younger)
-                    np.copyto(b, wit[facets[:, t]], where=younger)
-                    np.copyto(w, verts[:, t, None], where=younger)
-                at = w.astype(np.intp)  # flat indices into front, then into block
-                at *= width
-                at += b
-                slack = front.take(at)
-                at[...] = w
-                at *= B
-                at += columns
-                slack = np.subtract(block.take(at), slack, out=slack)
-                del at
-                cells = np.flatnonzero(slack < v)
-                if cells.size:
-                    rr, j = np.divmod(cells, B)
-                    rows = verts[rr]
-                    v.flat[cells], b.flat[cells] = scan_gaps(block[rows, j[:, None]], rows, front)
-                gaps[r], wit[r] = v, b
+                    gaps[r], wit[r] = _pair_gaps(block, faces.vertex_table[r, :2],
+                                                 np.arange(r0 - m, r.stop - m), stairs)
+                else:
+                    _certify(gaps, wit, r, size, faces, block, front)
         del wit  # keep only the returned block while the caller works on it
         yield range(first, stop), gaps
         del gaps  # and drop it before the next one is built
+
+
+def _certify(gaps, wit, r, size, faces, block, front) -> None:
+    """Fill gaps[r] and wit[r] for the faces r of one size >= 3 from their
+    facets' rows, by the certificate of `subset_gaps`, scanning the cells
+    where it fails.  The scratch dies on return, before the block is
+    yielded."""
+    m, B, width = faces.m, block.shape[1], front.shape[1]
+    verts = faces.vertex_table[r, :size]
+    facets = faces.facet_table[r.start - m : r.stop - m, :size]
+    # facet_table[k - m, t] drops vertex_table[k, t]: so the youngest
+    # facet's slot also names the added vertex.  Slots rise through the
+    # loop, so the slot is the max of t * [g beats the least so far].
+    v = gaps[facets[:, 0]]
+    slot = np.zeros(v.shape, dtype=np.uint8)
+    g = np.empty_like(v)
+    for t in range(1, size):
+        gaps.take(facets[:, t], axis=0, out=g, mode="clip")  # valid rows: no buffer copy
+        np.maximum(slot, (g < v).view(np.uint8) * np.uint8(t), out=slot)
+        np.minimum(v, g, out=v)
+    del g
+    flat = np.int32 if max(gaps.size, m * max(width, B)) < 2**31 else np.intp
+    at = slot.astype(flat)  # flat indices into the chunk's (row, slot) tables
+    del slot
+    at += np.arange(0, verts.size, size, dtype=flat)[:, None]
+    w = np.ascontiguousarray(verts, dtype=flat).take(at)
+    at = np.ascontiguousarray(facets, dtype=flat).take(at)
+    at *= B  # then into wit
+    at += np.arange(B, dtype=flat)
+    b = wit.take(at)
+    np.multiply(w, width, out=at)  # then into front
+    at += b
+    slack = front.take(at)
+    np.multiply(w, B, out=at)  # then into block
+    at += np.arange(B, dtype=flat)
+    del w
+    slack = np.subtract(block.take(at), slack, out=slack)
+    del at
+    cells = np.flatnonzero(slack < v)
+    del slack
+    if cells.size:
+        rr, j = np.divmod(cells, B)
+        rows = verts[rr]
+        v.flat[cells], b.flat[cells] = scan_gaps(block[rows, j[:, None]], rows, front)
+    gaps[r], wit[r] = v, b
 
 
 def ray_births(T: OrderTable, a: int, max_size: int) -> tuple[np.ndarray, int]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, pairwise
 
 import numpy as np
 import pytest
@@ -63,8 +63,8 @@ def prefix_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
     m, n = src.shape
     verts = face_list(m, max_size)
     depth_first = sorted(range(len(verts)), key=verts.__getitem__)
-    for start in range(0, n, BLOCK):
-        stop = min(start + BLOCK, n)
+    blocks = -(-n // BLOCK)  # the fewest blocks of at most BLOCK, widths within one
+    for start, stop in pairwise(n * i // blocks for i in range(blocks + 1)):
         gaps = np.empty((len(verts), stop - start), dtype=np.result_type(src, dst))
         stack: list[np.ndarray] = []
         for k in depth_first:

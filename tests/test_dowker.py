@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -345,6 +347,23 @@ class TestSubsetGaps:
         src, dst = _gap_inputs(rng, 10, n, n_dst, KINDS[i % len(KINDS)], "int16")
         for max_size in range(1, 11):
             _assert_gaps_match(src, dst, max_size)
+
+    @pytest.mark.parametrize("n", EDGE_COLUMNS)
+    def test_blocks_are_equal_width(self, n):
+        src = _gap_table(np.random.Generator(np.random.PCG64(n)), 3, n, "tie-free")
+        cols = [c for c, _ in subset_gaps(src, src, 3)]
+        assert list(chain.from_iterable(cols)) == list(range(n))
+        widths = [len(c) for c in cols]
+        assert len(widths) == -(-n // BLOCK)  # the fewest blocks of at most BLOCK
+        assert max(widths) <= BLOCK and max(widths) - min(widths) <= 1
+
+    @pytest.mark.parametrize("block", (1, 7, 128))
+    def test_gaps_do_not_depend_on_the_blocks(self, block, monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(block))
+        src, dst = _gap_inputs(rng, 6, 150, 90, "tied", "int16")
+        want = np.hstack([g for _, g in prefix_gaps(src, dst, 5)])
+        monkeypatch.setattr(dowker, "BLOCK", block)
+        assert np.array_equal(np.hstack([g for _, g in subset_gaps(src, dst, 5)]), want)
 
     @given(st.integers(3, 6), st.integers(1, 40), st.one_of(st.none(), st.integers(1, 40)),
            st.sampled_from(KINDS), st.integers(0, 2**32 - 1), st.data())

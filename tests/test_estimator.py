@@ -25,7 +25,7 @@ from qcsense import (
 )
 from qcsense import estimator
 from qcsense.dowker import BLOCK, ray_births, ray_filtration, subset_gaps, subset_tables
-from qcsense.estimator import CHUNK, _apparent, _lk_from_order, default_d_up
+from qcsense.estimator import CHUNK, _age_keys, _apparent, _lk_from_order, default_d_up
 from qcsense.persistence import pair_reduction, persistence_intervals
 
 from conftest import (
@@ -201,6 +201,31 @@ class TestApparentPass:
             assert np.array_equal(length[k - 1], pair_length[rows].max(axis=0))
             assert np.array_equal(need[k - 1], comb(m - 1, k + 1) - want[rows].sum(axis=0))
         assert length.shape == need.shape == (max_size - 2, n)
+
+
+class TestAgeKeys:
+    """The packed key sort orders each row as the stable argsort of ~gap."""
+
+    @staticmethod
+    def _check(g):
+        key, shift = _age_keys(g)
+        assert np.array_equal(key & ((1 << shift) - 1), np.argsort(~g, axis=1, kind="stable"))
+        assert np.array_equal(key >> shift, np.sort(~g, axis=1))
+
+    @given(st.sampled_from(("int16", "int32")), st.integers(1, 20), st.integers(1, 700),
+           st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_stable_argsort(self, dtype, rows, cols, levels, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        info = np.iinfo(dtype)
+        values = rng.integers(info.min, info.max, size=levels, endpoint=True, dtype=dtype)
+        self._check(values[rng.integers(0, levels, size=(rows, cols))])  # few levels: ties
+
+    @pytest.mark.parametrize("cols", (2**16, 2**16 + 1))  # the widest int32 key, then int64
+    def test_extremes_at_the_widest_int32_key(self, cols):
+        g = np.resize(np.array([2**15 - 1, -(2**15), 0, -1], dtype=np.int16), (2, cols))
+        g[1] = g[1, ::-1]
+        self._check(g)
 
 
 EDGE_N = (1, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK + 1)
