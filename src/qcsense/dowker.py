@@ -55,11 +55,12 @@ CELLS = 8192
 SCAN_CELLS = 32768
 
 # Faces subset_tables builds at most.  Measured at (m, max_size) = (20, 8),
-# 263,949 faces, on a uniform 64-column table (tracemalloc): the build
-# peaks at 78 MB, and compute_Lk adds 323 MB with per-column lengths (1.2
-# KB a face) and 738 MB without (2.8 KB a face: while the running maxima
-# are low, the L-only screen keeps most (face, column) cells open).  At
-# the cap that is about 0.8 and 1.6 GB.
+# 263,949 faces, on a uniform 64-column table (tracemalloc): the build,
+# with the estimator's cached cone and cofacet-slot tables, peaks at 101
+# MB and holds 81 MB, and compute_Lk adds 322 MB with per-column lengths
+# or without (1.2 KB a face: both take one lengths route, a chunk of
+# columns at a time).  At the cap that is about 0.64 GB, plus 0.16 GB of
+# tables.
 MAX_FACES = 2**19
 
 GRID_SNAP = 1e-9  # rescue k/n thresholds from float round-off
@@ -327,17 +328,40 @@ def face_fronts(X: np.ndarray, faces: np.ndarray):
         return (np.flatnonzero(row == row.min()) for row in X[faces[:, 0]])
     if faces.shape[1] != 2:
         return (undominated_columns(X[face]) for face in faces)
-    return (_staircase(X[i], X[j]) for i, j in faces.tolist())
+    col, steps = _staircases_of(X, faces)
+    return iter(np.split(col, np.cumsum(steps)[:-1]))
 
 
-def _staircase(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # the knee (least max(p, q)) strictly beats every column it drops and
-    # none that weakly beats a survivor: the staircase does not change
-    knee = np.argmin(np.maximum(p, q))
-    order = np.flatnonzero((p <= p[knee]) | (q <= q[knee]))
-    order = order[np.lexsort((q[order], p[order]))]
+def _staircases_of(X: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(col, steps): the staircases `face_fronts` takes of the row pairs
+    (i, j) of X, laid end to end in the order of pairs, each in ascending
+    order of X[i], and the number of steps of each.
+
+    All pairs go through one sort.  The knee of a pair (its least max(p,
+    q), p = X[i] and q = X[j]) strictly beats every column it drops and
+    none that weakly beats a survivor, so the staircase does not change.
+    The survivors are keyed (pair, p, q) in one int64 and sorted stably,
+    which keeps the lower column first among equal points.  Offset by
+    -pair * span, each pair's q lie below every earlier pair's, so one
+    running minimum over all pairs restarts at each pair: the steps are
+    where it falls.  Values spanning too wide for the key are replaced by
+    their ranks, which keep every front."""
+    lo, span = int(X.min()), int(X.max()) - int(X.min()) + 1
+    if span * span * len(pairs) >= 2**62:
+        X = np.unique(X, return_inverse=True)[1].reshape(X.shape)
+        lo, span = 0, int(X.max()) + 1
+    p, q = X[pairs[:, 0]], X[pairs[:, 1]]
+    knee = np.argmin(np.maximum(p, q), axis=1)[:, None]
+    pair, col = np.nonzero((p <= np.take_along_axis(p, knee, axis=1)) |
+                           (q <= np.take_along_axis(q, knee, axis=1)))
+    p, q = (x[pair, col].astype(np.int64) - lo for x in (p, q))
+    q -= pair * span
+    key = (p + pair * span) * span + q + pair * span
+    order = np.argsort(key, kind="stable")
+    del key
     low = np.minimum.accumulate(q[order])
-    return order[np.r_[True, low[1:] < low[:-1]]]
+    step = order[np.r_[True, low[1:] < low[:-1]]]
+    return col[step], np.bincount(pair[step], minlength=len(pairs))
 
 
 def _staircases(front: np.ndarray, pairs: np.ndarray):
@@ -349,11 +373,9 @@ def _staircases(front: np.ndarray, pairs: np.ndarray):
     first[r] .. end[r]-1, col holds their columns, and key is p - q - lo
     + r*span, ascending over the whole array (lo and span are set so that
     every p - q lies in [lo + 1, lo + span - 1])."""
-    parts = list(face_fronts(front, pairs))
-    col = np.concatenate(parts)
-    lengths = np.array([len(c) for c in parts])
+    col, lengths = _staircases_of(front, pairs)
     end = np.cumsum(lengths)
-    owner = np.repeat(np.arange(len(parts)), lengths)
+    owner = np.repeat(np.arange(len(pairs)), lengths)
     p = front[pairs[owner, 0], col]
     q = front[pairs[owner, 1], col]
     d = p.astype(np.int64) - q
@@ -424,11 +446,11 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
     beaten in all m rows, hence on sigma, by some b' on it, and
     src[i, a] - dst[i, b'] is larger in every row: the max over the front
     equals the max over all columns, and the front only leaves fewer
-    columns to scan.  Beside each gap the loop keeps a witness, a column
-    of C attaining it, and it fills the faces by size:
+    columns to scan.  Beside the gap of each face that is a facet the
+    certificate reads (sizes 2 .. max_size-1) the loop keeps a witness, a
+    column of C attaining it, and it fills the faces by size:
 
-    - size 1: the gap of {v} is src[v, a] - min_b dst[v, b], witnessed by
-      the column of that minimum;
+    - size 1: the gap of {v} is src[v, a] - min_b dst[v, b];
     - size 2: for sigma = {i, j} only the staircase `face_fronts` takes
       of the points (dst[i, b], dst[j, b]) matters.  Along it
       x - p_b falls and y - q_b rises (x = src[i, a], y = src[j, a]), so
@@ -462,8 +484,7 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
     work = np.result_type(src, dst)  # holds every difference src - dst
     front = np.ascontiguousarray(dst[:, undominated_columns(dst)], dtype=work)
     wit_type = np.int16 if front.shape[1] < 2**15 else np.int32
-    low_at = front.argmin(axis=1)
-    low = front[np.arange(m), low_at]
+    low = front.min(axis=1)
     if faces.max_size > 1:
         stairs = _staircases(front, faces.vertex_table[m : start[3], :2])
     blocks = -(-n // BLOCK)
@@ -471,28 +492,31 @@ def subset_gaps(src: np.ndarray, dst: np.ndarray, max_size: int):
         block = np.ascontiguousarray(src[:, first:stop])
         B = stop - first
         gaps = np.empty((start[-1], B), dtype=work)
-        wit = np.empty((start[-1], B), dtype=wit_type)
+        # witnesses are read only as facets': faces of size 2 .. max_size-1, row face - m
+        wit = np.empty((max(start[faces.max_size] - m, 0), B), dtype=wit_type)
         gaps[:m] = block - low[:, None]
-        wit[:m] = low_at[:, None]
         step = max(1, CELLS // B)
         for size in range(2, faces.max_size + 1):
             for r0 in range(start[size], start[size + 1], step):
                 r = slice(r0, min(r0 + step, start[size + 1]))
                 if size == 2:
-                    gaps[r], wit[r] = _pair_gaps(block, faces.vertex_table[r, :2],
-                                                 np.arange(r0 - m, r.stop - m), stairs)
+                    gaps[r], b = _pair_gaps(block, faces.vertex_table[r, :2],
+                                            np.arange(r0 - m, r.stop - m), stairs)
                 else:
-                    _certify(gaps, wit, r, size, faces, block, front)
+                    gaps[r], b = _certify(gaps, wit, r, size, faces, block, front)
+                if size < faces.max_size:
+                    wit[r.start - m : r.stop - m] = b
+                del b
         del wit  # keep only the returned block while the caller works on it
         yield range(first, stop), gaps
         del gaps  # and drop it before the next one is built
 
 
-def _certify(gaps, wit, r, size, faces, block, front) -> None:
-    """Fill gaps[r] and wit[r] for the faces r of one size >= 3 from their
-    facets' rows, by the certificate of `subset_gaps`, scanning the cells
-    where it fails.  The scratch dies on return, before the block is
-    yielded."""
+def _certify(gaps, wit, r, size, faces, block, front):
+    """The (gaps, witnesses) of the faces r of one size >= 3, from their
+    facets' rows of gaps and wit (row face - m), by the certificate of
+    `subset_gaps`, scanning the cells where it fails.  The scratch dies on
+    return, before the block is yielded."""
     m, B, width = faces.m, block.shape[1], front.shape[1]
     verts = faces.vertex_table[r, :size]
     facets = faces.facet_table[r.start - m : r.stop - m, :size]
@@ -513,6 +537,7 @@ def _certify(gaps, wit, r, size, faces, block, front) -> None:
     at += np.arange(0, verts.size, size, dtype=flat)[:, None]
     w = np.ascontiguousarray(verts, dtype=flat).take(at)
     at = np.ascontiguousarray(facets, dtype=flat).take(at)
+    at -= m
     at *= B  # then into wit
     at += np.arange(B, dtype=flat)
     b = wit.take(at)
@@ -530,7 +555,7 @@ def _certify(gaps, wit, r, size, faces, block, front) -> None:
         rr, j = np.divmod(cells, B)
         rows = verts[rr]
         v.flat[cells], b.flat[cells] = scan_gaps(block[rows, j[:, None]], rows, front)
-    gaps[r], wit[r] = v, b
+    return v, b
 
 
 def ray_births(T: OrderTable, a: int, max_size: int) -> tuple[np.ndarray, int]:

@@ -6,13 +6,17 @@ per-column ray filtrations.  The estimate of the sensed dimension is one
 plus the largest k whose L_k clears a threshold; subsampling replaces the
 single threshold call by a first-quartile test over replicates.
 
-Per column, lengths come from the gap table of `dowker.subset_gaps` by
-apparent pairs, clearing and a count of the pairs each dimension must
-have; only the columns those leave open go through the F2 reduction (see
-`_block_lengths`).  Callers that need L alone (compute_Lk without
-per-column lengths, both subsampling modes) first bound every bar by a
-cone over one of the anchor's vertices and reduce only what can still
-raise a maximum (`_screen_block`, `_class_bounds`).
+Lengths come from the gap table of `dowker.subset_gaps`, CHUNK columns
+at a time, by one route (`_lengths`): apparent pairs and a count of the
+pairs each dimension must have settle most dimensions, a cone over one
+of the column's vertices bounds every other bar (`_class_bounds`), and
+only the (column, dimension) whose bound beats its floor go through the
+F2 reduction, with clearing.  The floor is the column's own longest
+apparent bar for per-column lengths.  Callers that need L alone
+(compute_Lk without per-column lengths, both subsampling modes) raise
+it to the running maximum, and send down the route only the columns
+whose bound, with the faces that beat it classified one by one, beats
+that maximum (`_screen_block`).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .persistence import MaxLengths, pair_reduction
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
-# Anchor columns per `_apparent` pass and `_reduce_chunk` setup.  On 40
+# Anchor columns per pass of the lengths route (`_lengths`).  On 40
 # functions-m10 replicates (m = 10, d_up = 3, S = 637 faces) 16 took 10-19%
 # less kernel time than 8, and up to 16 the kernel's tracemalloc peak stays
 # that of subset_gaps (0.578 MB), while 24 lifts it to 0.635 MB and 32 to
@@ -189,10 +193,17 @@ def _apparent(g: np.ndarray, faces: FaceTables) -> tuple[np.ndarray, ...]:
     return apparent, young, np.maximum.reduceat(least, rows[:-1], axis=0), need
 
 
-def _block_lengths(gaps: np.ndarray, faces: FaceTables, out: np.ndarray) -> None:
-    """Write the longest interval per dimension (grade numerators) of each
-    column of one `subset_gaps` block into out, one row per column.  gaps
-    has one row per face of `faces`, in its numbering.
+def _lengths(g: np.ndarray, faces: FaceTables, floor: np.ndarray, out: np.ndarray,
+             reach: np.ndarray | None = None) -> None:
+    """Write into out[j, k] the longest interval (grade numerators) of
+    each dimension 1 <= k <= max_size-2 of column j of the gaps g, for the
+    c <= CHUNK columns of g, wherever it is longer than floor[k-1]; an
+    interval no longer than that may be written shorter.  g has one row
+    per face of `faces`, in its numbering, and out one row per column.
+    floor is zero for per-column lengths and the running maxima for L
+    alone, whose screen passes its `_class_bounds` of these columns as
+    reach: bounds of the faces it did not find barren, and apparent
+    creators' own lengths, which never beat the floor below.
 
     Face sigma enters column a's ray filtration at tmax - g_sigma, tmax =
     max_i ord_i(a), so the filtration order is descending gap with ties
@@ -206,73 +217,66 @@ def _block_lengths(gaps: np.ndarray, faces: FaceTables, out: np.ndarray) -> None
     unless max_size = m, where the one top face destroys.)  Hence:
 
     - L_0 is that vertex's length, the largest vertex gap; no finite
-      dimension-0 pair is longer;
+      dimension-0 pair is longer (the callers take it);
     - dimensions max_size-1 .. d_up have no creators, so length 0;
     - for 1 <= k <= max_size-2, (sigma, tau) is an apparent pair when
       sigma is tau's youngest facet and tau is sigma's oldest cofacet in
       the filtration order.  No column before tau contains sigma, so
       tau's boundary column is already reduced with pivot sigma: the pair
       is a persistence pair.  A dimension with C(m-1, k+1) apparent pairs
-      is settled by them; otherwise _reduce_chunk finds the rest and
-      stops at the count.
+      is settled by them (`_apparent`).
+    - any other pair is born at a face that is not `_barren` and is no
+      longer than that face's cone bound (`_class_bounds`), so (k, j) is
+      settled unless such a bound beats its floor, the longer of
+      floor[k-1] and column j's longest apparent pair.  Every unfinished
+      dimension below one that is not settled is reduced too: its pairs
+      clear the reduction above, which then enters what it would with
+      every dimension reduced.
 
-    Both passes work on CHUNK columns at a time: `_apparent` in numpy on
-    the int16 gaps alone, and `_reduce_chunk` with one sort per chunk,
-    leaving only the F2 reductions to run per column.
+    The rest go through one pair_reduction per column and dimension, on
+    coboundary columns (same pairs as the boundary matrix: de Silva,
+    Morozov and Vejdemo-Johansson, "Dualities in persistent
+    (co)homology", 2011): the size-(k+1) faces youngest first, with bits
+    at the reversed positions of their cofacets.  Left out are the
+    destroyers of dimension k-1, apparent or found by the previous
+    reduction (clearing: they reduce to zero), and the apparent creators.
+    For an apparent pair (sigma, tau), tau is sigma's oldest cofacet, the
+    pivot of its coboundary, and sigma is tau's youngest facet, so every
+    column with bit tau comes after sigma, which is then already reduced:
+    `owned` regenerates it when tau turns up as a pivot, and the pairs are
+    those of the full reduction.  What enters are creators (in dimension
+    1 also non-apparent dimension-0 destroyers), so the reduction stops at
+    the count; any later column would reduce to zero.
 
-    This is the per-column path.  A caller that needs only the maxima
-    over columns takes `_screen_block` instead, which runs both passes
-    only on the columns and dimensions whose cone bound (`_class_bounds`)
-    still beats the running maximum.
+    The bounds, the filtration order, the reversed positions and the free
+    faces (not barren) are found once for the chunk; only building a
+    column's coboundaries and its reductions run column by column.
     """
-    m, top = faces.m, faces.max_size - 2
-    out[:, 0] = gaps[:m].max(axis=0)
-    if top < 1:
-        return
-    for c0 in range(0, gaps.shape[1], CHUNK):
-        g = np.ascontiguousarray(gaps[:, c0 : c0 + CHUNK])
-        apparent, young, length, need = _apparent(g, faces)
-        out[c0 : c0 + g.shape[1], 1 : top + 1] = length.T
-        if need.any():
-            _reduce_chunk(g, apparent, young, need, faces, out[c0 : c0 + CHUNK])
-
-
-def _reduce_chunk(g, apparent, young, need, faces, out) -> None:
-    """Raise out[j, k] to the longest non-apparent pair of each unfinished
-    dimension k of column j, for the columns of gaps g and `_apparent`
-    output (apparent, young, need).
-
-    One pair_reduction per column and unfinished dimension, on coboundary
-    columns (same pairs as the boundary matrix: de Silva, Morozov and
-    Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011): the
-    size-(k+1) faces youngest first, with bits at the reversed positions
-    of their cofacets.  Left out are the destroyers of dimension k-1,
-    apparent or found by the previous reduction (clearing: they reduce to
-    zero), and the apparent creators.  For an apparent pair (sigma, tau),
-    tau is sigma's oldest cofacet, the pivot of its coboundary, and sigma
-    is tau's youngest facet, so every column with bit tau comes after
-    sigma, which is then already reduced: `owned` regenerates it when tau
-    turns up as a pivot, and the pairs are those of the full reduction.
-    What enters are creators (in dimension 1 also non-apparent
-    dimension-0 destroyers), so the reduction stops at the count; any
-    later column would reduce to zero.
-
-    The filtration order, the reversed positions and the free faces (in
-    no apparent pair) of the columns with an unfinished dimension are
-    found once for the chunk; only building a column's coboundaries and
-    its reductions run column by column.
-    """
-    m, cofacets, facets = faces.m, faces.cofacet_table, faces.facet_table
+    top = faces.max_size - 2
+    apparent, young, length, need = _apparent(g, faces)
+    out[:, 1 : top + 1] = length.T
+    barren = _barren(apparent, young, faces)
+    bar = np.maximum(length, floor)  # what a reduction must beat
+    if reach is None:
+        bar[need == 0] = np.iinfo(bar.dtype).max  # settled: nothing to bound
+        apexes = np.argsort(~g[: faces.m].T, axis=1)[:, :APEXES].T  # ties in any order
+        reach = _class_bounds(g, faces, range(1, top + 1), bar, apexes, barren)
+    need *= np.logical_or.accumulate(((reach > bar) & (need > 0))[::-1], axis=0)[::-1]
     cols = np.flatnonzero(need.any(axis=0))
-    if cols.size < need.shape[1]:  # no copies when every column is unfinished
-        g, apparent, young, need = (x.take(cols, axis=1) for x in (g, apparent, young, need))
-    (S, c), top = g.shape, faces.max_size - 2
+    if not cols.size:
+        return
+    if cols.size < need.shape[1]:  # no copies when every column is left
+        g, barren, apparent, young, need = (x.take(cols, axis=1)
+                                            for x in (g, barren, apparent, young, need))
+    (S, c), m, cofacets, facets = g.shape, faces.m, faces.cofacet_table, faces.facet_table
     order, shift = _age_keys(g.T)  # faces in filtration order
     order &= (1 << shift) - 1
     order = order.astype(np.int32, copy=False)
     rev = np.empty((c, S), dtype=np.int32)  # reversed positions, by face
-    np.put_along_axis(rev, order, np.arange(S - 1, -1, -1, dtype=np.int32)[None, :], axis=1)
-    free = _free_faces(apparent, young, need, order, rev, faces)
+    for j, row in enumerate(order):  # row by row: no (c, S) index array
+        rev[j, row] = np.arange(S - 1, -1, -1, dtype=np.int32)
+    free = _free_faces(barren, need, order, rev, faces)
+    del barren  # not held through the reductions
     for j, (todo, row) in enumerate(zip(need.T.tolist(), cols.tolist())):
         r, line, found = rev[j], out[row], ()
         for k, q in enumerate(todo, 1):
@@ -298,9 +302,9 @@ def _reduce_chunk(g, apparent, young, need, faces, out) -> None:
             line[k] = max(line[k], best)
 
 
-def _free_faces(apparent, young, need, order, rev, faces) -> list:
-    """The faces of size k+1 of each column j that are in no apparent
-    pair, youngest first: face[cut[j] : cut[j+1]] with (face, cut) =
+def _free_faces(barren, need, order, rev, faces) -> list:
+    """The faces of size k+1 of each column j that are not `_barren`,
+    youngest first: face[cut[j] : cut[j+1]] with (face, cut) =
     free[k-1], for the dimensions k unfinished in some column (None for
     the others).  order and rev are the columns' filtration orders and
     reversed positions, by face.
@@ -309,7 +313,7 @@ def _free_faces(apparent, young, need, order, rev, faces) -> list:
     S <= MAX_FACES faces): each free face is keyed j*S + p by its column j
     and reversed position p, one sort groups the keys by column, youngest
     first, and order reads the faces back at positions S-1-p."""
-    start, top = faces.start, faces.max_size - 2
+    m, start, top = faces.m, faces.start, faces.max_size - 2
     c, S = rev.shape
     ends = np.arange(1, c + 1, dtype=np.int32) * S
     free = []
@@ -319,7 +323,7 @@ def _free_faces(apparent, young, need, order, rev, faces) -> list:
             free.append(None)
             continue
         lo, F = start[k + 1], start[k + 2] - start[k + 1]
-        key = np.flatnonzero((~_barren(apparent, young, faces, k) & unfinished).T).astype(np.int32)
+        key = np.flatnonzero((~barren[lo - m : lo - m + F] & unfinished).T).astype(np.int32)
         j = key // F  # key is j*F + face - lo
         key += j * (S - F) + lo  # j*S + face
         key = rev.take(key)  # p
@@ -334,121 +338,99 @@ def _free_faces(apparent, young, need, order, rev, faces) -> list:
     return free
 
 
-def _screen_block(gaps: np.ndarray, faces: FaceTables, best: np.ndarray):
-    """Bound the bars of the columns of one `subset_gaps` block, settle
-    what the bounds and apparent pairs can, and return (left, U, open):
-    the columns whose bound U[k-1] still beats best[k] for some dimension
-    k, U, and the rows (k, face, column, bound) of the faces whose bound
-    beats best and whose bar is unknown.
-
-    `_class_bounds` bounds the bar of each column born at each face, with
-    the column's APEXES oldest vertices as apexes.  Of the faces whose
-    bound beats best, `_apparent_faces` settles those in an apparent pair:
-    a destroyer creates no bar, and a creator's bar is known and raises
-    best."""
-    m, start, top = faces.m, faces.start, faces.max_size - 2
-    best[0] = max(best[0], gaps[:m].max())
-    apexes = np.argsort(~gaps[:m].T, axis=1)[:, :APEXES].T  # ties in any order
+def _screen_block(gaps: np.ndarray, faces: FaceTables, best: np.ndarray) -> None:
+    """Raise best[1:] by the columns of one `subset_gaps` block.  Only the
+    columns whose cone bound (`_class_bounds`, with the column's APEXES
+    oldest vertices as apexes) beats best in some dimension go through
+    `_lengths`, CHUNK at a time, most slack first, and each chunk against
+    the maxima the chunks before it raised."""
+    top = faces.max_size - 2
     floor = best[1 : top + 1]
-    U = np.zeros((top, gaps.shape[1]), dtype=np.int64)
-    rows = []
-    for k in range(1, top + 1):
-        f, j, bound = _class_bounds(gaps, faces, k, floor[k - 1], apexes)
-        f += start[k + 1]
-        destroys, creates, tau = _apparent_faces(gaps, faces, k, f, j)
-        if creates.any():
-            known = gaps[f[creates], j[creates]] - gaps[tau[creates], j[creates]]
-            floor[k - 1] = max(floor[k - 1], known.max())
-        unknown = ~(destroys | creates) & (bound > floor[k - 1])
-        f, j, bound = f[unknown], j[unknown], bound[unknown]
-        np.maximum.at(U[k - 1], j, bound)
-        rows.append(np.stack([np.full(f.size, k), f, j, bound]))
-    return np.flatnonzero((U > floor[:, None]).any(axis=0)), U, np.concatenate(rows, axis=1)
-
-
-def _visit(gaps, U, open_, cols, faces: FaceTables, best: np.ndarray) -> None:
-    """Raise best by the columns cols that `_screen_block` left of gaps,
-    with their U and open faces: those whose bound still beats best go
-    through `_apparent` CHUNK at a time, most slack first.  A dimension is
-    marked finished before `_reduce_chunk` when no open face that may
-    still create an unknown bar (not `_barren`) has a bound beating the
-    longer of best and the apparent length.  Each chunk raises best
-    before the next is picked."""
-    start, top = faces.start, faces.max_size - 2
-    floor = best[1 : top + 1]
-    slack = (U[:, cols] - floor[:, None]).max(axis=0)
-    queue = cols[np.argsort(-slack, kind="stable")]
+    apexes = np.argsort(~gaps[: faces.m].T, axis=1)[:, :APEXES].T  # ties in any order
+    U = np.concatenate([_class_bounds(gaps, faces, range(k, k + 1), floor[k - 1], apexes)
+                        for k in range(1, top + 1)])
+    slack = (U - floor[:, None]).max(axis=0)
+    queue = np.flatnonzero(slack > 0)
+    queue = queue[np.argsort(-slack[queue], kind="stable")]
     while queue.size:
         chunk, queue = np.sort(queue[:CHUNK]), queue[CHUNK:]
-        g = gaps[:, chunk]
-        apparent, young, length, need = _apparent(g, faces)
-        bar = np.maximum(length, floor[:, None])  # what a reduction must beat
-        dims, face, col, bound = open_[:, np.isin(open_[2], chunk)]
-        col = np.searchsorted(chunk, col)
-        for k in np.flatnonzero(need.any(axis=1)).tolist():
-            mine = np.flatnonzero(dims == k + 1)
-            mine = mine[~_barren(apparent, young, faces, k + 1)[face[mine] - start[k + 2], col[mine]]]
-            reach = np.zeros(chunk.size, dtype=np.int64)
-            np.maximum.at(reach, col[mine], bound[mine])
-            need[k, reach <= bar[k]] = 0
         out = np.zeros((chunk.size, top + 1), dtype=np.int64)
-        out[:, 1:] = length.T
-        if need.any():
-            _reduce_chunk(g, apparent, young, need, faces, out)
+        _lengths(gaps[:, chunk], faces, floor[:, None], out, U[:, chunk])
         np.maximum(floor, out[:, 1:].max(axis=0), out=floor)
         queue = queue[(U[:, queue] > floor[:, None]).any(axis=0)]
 
 
 def _apparent_faces(gaps, faces, k, f, j) -> tuple[np.ndarray, ...]:
     """(destroys, creates, tau) for faces f of size k+1 at columns j of
-    gaps, by the rules of `_apparent`: tau is f's oldest cofacet (the first
-    cofacet slot with the greatest gap), creates says f is tau's youngest
-    facet (the first facet slot with the least gap), and destroys says f
-    is the oldest cofacet of its own youngest facet.  CONE_CELLS bounds
-    the (face, slot) cells gathered at once."""
+    gaps, cell by cell, by the rules of `_apparent`: tau is f's oldest
+    cofacet (the first cofacet slot with the greatest gap), creates says
+    f is tau's youngest facet (the first facet slot with the least gap),
+    and destroys says f is the oldest cofacet of its own youngest facet.
+    The screen classifies the faces that beat a running maximum, a few
+    at a time."""
     m, B = faces.m, gaps.shape[1]
     flat = gaps.ravel()
 
-    def pick(table, x, j, width, arg):
-        at = table[x, :width]
-        at *= B
-        at += j[:, None]
-        slot = arg(flat.take(at), axis=1)
-        return (at[np.arange(x.size), slot] - j) // B
+    def pick(table, x, width, arg):
+        at = table[x, :width] * B + j[:, None]
+        return (at[np.arange(x.size), arg(flat.take(at), axis=1)] - j) // B
 
-    out = np.empty((3, f.size), dtype=np.intp)
-    step = max(1, CONE_CELLS // m)
-    for i in range(0, f.size, step):
-        x, y = f[i : i + step], j[i : i + step]
-        young = pick(faces.facet_table, x - m, y, k + 1, np.argmin)
-        tau = pick(faces.cofacet_table, x, y, m - k - 1, np.argmax)
-        out[0, i : i + step] = pick(faces.cofacet_table, young, y, m - k, np.argmax) == x
-        out[1, i : i + step] = pick(faces.facet_table, tau - m, y, k + 2, np.argmin) == x
-        out[2, i : i + step] = tau
-    return out[0].astype(bool), out[1].astype(bool), out[2]
+    young = pick(faces.facet_table, f - m, k + 1, np.argmin)
+    tau = pick(faces.cofacet_table, f, m - k - 1, np.argmax)
+    return (pick(faces.cofacet_table, young, m - k, np.argmax) == f,
+            pick(faces.facet_table, tau - m, k + 2, np.argmin) == f, tau)
 
 
-def _barren(apparent, young, faces, k) -> np.ndarray:
-    """The size-(k+1) faces, by columns of `_apparent` output, that create
-    no bar a reduction must find: the apparent destroyers of dimension
-    k-1 and the apparent creators of dimension k, the youngest facets of
-    apparent faces of size k+2.  `_free_faces` feeds the reduction the
-    rest; `_visit` bounds only the rest."""
-    m, start = faces.m, faces.start
-    lo, rows = start[k + 1], slice(start[k + 2] - m, start[k + 3] - m)
-    barren = apparent[lo - m : start[k + 2] - m].copy()
-    tau, j = np.nonzero(apparent[rows])
-    barren[faces.facet_table[rows][tau, young[rows][tau, j]] - lo, j] = True
+def _barren(apparent, young, faces) -> np.ndarray:
+    """The faces of sizes 2 .. max_size-1 (row face - m), by columns of
+    `_apparent` output, that create no bar a reduction must find: the
+    apparent destroyers and the apparent creators, the youngest facets of
+    apparent faces one size up.  `_free_faces` feeds the reduction the
+    rest; `_lengths` bounds only the rest.  The creators are read
+    from the cofacet side, one cofacet slot at a time (`_cofacet_slots`),
+    with no index arrays."""
+    m, hi = faces.m, faces.start[faces.max_size]
+    barren = apparent[: hi - m].copy()
+    slot = _cofacet_slots(m, faces.max_size)
+    for s in range(m - 2):
+        tau = faces.cofacet_table[m:hi, s] - m
+        creates = young.take(tau, axis=0) == slot[:, s, None]
+        creates &= apparent.take(tau, axis=0)
+        barren |= creates
     return barren
 
 
-def _class_bounds(gaps: np.ndarray, faces: FaceTables, k: int, floor,
-                  apexes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Bound the dimension-k bars of every column of gaps, 1 <= k <=
-    max_size-2, where a bar may beat floor: returns (i, j, bound) with
-    bound at least the length of column j's bar born at face start[k+1] +
-    i, for the faces whose bound beats floor; any other bar is no longer
-    than floor.  apexes[:, j] lists the apex vertices of column j.
+@lru_cache(maxsize=None)
+def _cofacet_slots(m: int, max_size: int) -> np.ndarray:
+    """slot[sigma - m, s] = the facet slot of face sigma in its cofacet
+    slot s, for the faces of sizes 2 .. max_size-1 of subset_tables(m,
+    max_size), and the dtype's largest value past sigma's real slots.
+    Cofacet slot s adds a vertex v past the t vertices of sigma below v (s
+    = v - t, see `FaceTables`), and t counts the vertices u_i (0-based i)
+    of sigma with u_i - i <= s."""
+    faces = subset_tables(m, max_size)
+    start, dtype = faces.start, faces.slot_table.dtype
+    slot = np.full((start[max_size] - m, m - 2), np.iinfo(dtype).max, dtype=dtype, order="F")
+    for size in range(2, max_size):
+        below = faces.vertex_table[start[size] : start[size + 1], :size] - np.arange(size)
+        slot[start[size] - m : start[size + 1] - m, : m - size] = \
+            (below[:, :, None] <= np.arange(m - size)).sum(axis=1)
+    return slot
+
+
+def _class_bounds(gaps: np.ndarray, faces: FaceTables, dims: range, floor, apexes: np.ndarray,
+                  barren: np.ndarray | None = None) -> np.ndarray:
+    """Bound the bars of the dimensions dims (a range in 1 .. max_size-2)
+    of every column of gaps where they may beat floor (one row per
+    dimension, one column per column of gaps or one for all): returns
+    reach, where reach[i, j] is at least the length of every
+    dimension-dims[i] bar of column j that beats floor[i, j], and
+    reach[i, j] <= floor[i, j] when there is none, leaving out the bars
+    born at barren faces (`_barren`, one row per face of dims, by face
+    index).  Without barren the faces that beat a floor are classified
+    one by one (`_apparent_faces`): an apparent destroyer creates no bar,
+    and an apparent creator's bar has a known length.  apexes[:, j] lists
+    the apex vertices of column j.
 
     The bound.  Take a bar born at sigma (size k+1) with gap g_sigma.  Its
     representative cycle z, the reduction's V-column, lies on sigma and on
@@ -468,59 +450,73 @@ def _class_bounds(gaps: np.ndarray, faces: FaceTables, k: int, floor,
 
     A single apex needs no sort: gaps fall along the filtration order, so
     the max over sigma of g_sigma - min_{rho <= sigma} g(rho + v) is the
-    max over rho of g_rho - g(rho + v).  The columns that no single apex
-    settles are sorted by age once, the faces younger than every face
-    beating floor cut (no length exceeds its creator's gap), and the
-    prefix minima of each apex's cone gaps combine into each face's
-    bound.  CONE_CELLS bounds the (column, face) cells of a pass."""
+    max over rho of g_rho - g(rho + v), and one gather of each apex's cone
+    gaps serves every dimension.  The columns that no single apex settles
+    are sorted by age once per dimension left open, the faces younger than
+    every face beating its column's floor cut (no length exceeds its
+    creator's gap), and the prefix minima of each apex's cone gaps combine
+    into each face's bound.  CONE_CELLS bounds the (column, face) cells of
+    a pass."""
     m, start = faces.m, faces.start
-    lo, hi = start[k + 1], start[k + 2]
-    F, B = hi - lo, gaps.shape[1]
-    g = gaps[lo:hi]
-    live = g.max(axis=0) > floor  # no length exceeds its creator's gap
-    # the cone faces of the class, as flat offsets into gaps, one row per apex
+    lo, hi, B = start[dims[0] + 1], start[dims[-1] + 2], gaps.shape[1]
+    g = gaps[lo:hi]  # the faces of sizes dims[0]+1 .. dims[-1]+1
+    R = hi - lo
+    cuts = [start[k + 1] - lo for k in dims] + [R]  # dims[i]'s faces: cuts[i] .. cuts[i+1]-1
+    floor = np.broadcast_to(floor, (len(dims), B))
+    reach = np.zeros((len(dims), B), dtype=gaps.dtype)  # bounds are >= 0
+    live = np.maximum.reduceat(g, cuts[:-1], axis=0) > floor  # no length exceeds its creator's gap
+    # the cone faces of dims, as flat offsets into gaps, one row per apex
     tab = _cone_table(m, faces.max_size)[:, lo - m : hi - m] * B
-    step = max(1, CONE_CELLS // F)
-    written = []
+    step = max(1, CONE_CELLS // R)
     for c0 in range(0, B, step):
-        c = np.flatnonzero(live[c0 : c0 + step]) + c0
+        c = np.flatnonzero(live[:, c0 : c0 + step].any(axis=0)) + c0
         if not c.size:
             continue
-        gc = g.T[c]
+        gc, fc, keep = g.T[c], floor.T[c], live.T[c]  # keep: the dimensions left open
         cones = []  # each apex's cone gaps, for the columns no apex settles alone
-        keep = np.ones(c.size, dtype=bool)
         for i, vertex in enumerate(apexes):
             at = tab.take(vertex[c], axis=0)
             at += c[:, None]
             cones.append(gaps.take(at))
             del at
-            keep &= (gc - cones[-1]).max(axis=1) > floor
+            keep &= np.maximum.reduceat(gc - cones[-1], cuts[:-1], axis=1) > fc
             # drop the settled columns: when a quarter is, and before the sort
-            if not keep.all() and (i == len(apexes) - 1 or 4 * keep.sum() < 3 * keep.size):
-                c, gc = c[keep], gc[keep]
-                cones = [h[keep] for h in cones]
-                keep = keep[keep]
-        if not c.size:
-            continue
-        key, shift = _age_keys(gc)  # the faces by age, oldest first
-        del gc
-        # through the youngest face that beats floor in some column
-        cut = np.count_nonzero(~(key.min(axis=0) >> shift) > floor)
-        ordered = (~(key[:, :cut] >> shift)).astype(gaps.dtype)
-        flat = (key[:, :cut] & ((1 << shift) - 1)).astype(np.intp)
-        del key
-        flat += (np.arange(c.size) * F)[:, None]  # into the rows of cones
-        each = None
-        while cones:
-            h = cones.pop().take(flat)
-            np.minimum.accumulate(h, axis=1, out=h)
-            np.subtract(ordered, h, out=h)
-            each = h if each is None else np.minimum(each, h, out=each)  # each face's bound
-        rows, at = np.nonzero(each > floor)
-        written.append((flat[rows, at] - rows * F, c[rows], each[rows, at]))
-    if not written:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, gaps.dtype)
-    return tuple(np.concatenate(x) for x in zip(*written))
+            alive = keep.any(axis=1)
+            if not alive.all() and (i == len(apexes) - 1 or 4 * alive.sum() < 3 * alive.size):
+                c, gc, fc, keep = c[alive], gc[alive], fc[alive], keep[alive]
+                cones = [h[alive] for h in cones]
+        bounds = []  # (dimension, its open columns, faces, bounds)
+        for i in np.flatnonzero(keep.any(axis=0)).tolist():
+            rows = np.flatnonzero(keep[:, i])
+            key, shift = _age_keys(gc[rows, cuts[i] : cuts[i + 1]])  # the faces by age, oldest first
+            # through the youngest face that beats its column's floor
+            cut = np.count_nonzero((key < (~fc[rows, i, None] << shift)).any(axis=0))
+            ordered = (~(key[:, :cut] >> shift)).astype(gaps.dtype)
+            flat = (key[:, :cut] & ((1 << shift) - 1)).astype(np.int32)  # c'R < 2**31
+            del key
+            flat += (rows * R + cuts[i]).astype(np.int32)[:, None]  # into the rows of cones
+            each = None
+            for h in cones:
+                h = h.take(flat)
+                np.minimum.accumulate(h, axis=1, out=h)
+                np.subtract(ordered, h, out=h)
+                each = h if each is None else np.minimum(each, h, out=each)  # each face's bound
+            bounds.append((i, rows, flat, each))
+        del cones, gc
+        dead = None if barren is None or not c.size else barren.T[c]
+        for i, rows, flat, each in bounds:
+            if dead is not None:
+                each[dead.take(flat)] = 0
+            else:  # classify the faces that beat the floor, CONE_CELLS // m at a time
+                cells = np.flatnonzero(each > fc[rows, i, None])
+                for s0 in range(0, cells.size, CONE_CELLS // m):
+                    r, at = np.divmod(cells[s0 : s0 + CONE_CELLS // m], each.shape[1])
+                    face, j = flat[r, at] - rows[r] * R + lo, c[rows[r]]
+                    destroys, creates, tau = _apparent_faces(gaps, faces, dims[i], face, j)
+                    each[r[destroys], at[destroys]] = 0  # creates no bar
+                    each[r[creates], at[creates]] = (gaps[face, j] - gaps[tau, j])[creates]  # known
+            reach[i, c[rows]] = each.max(axis=1)
+    return reach
 
 
 @lru_cache(maxsize=None)
@@ -569,10 +565,10 @@ def _lk_from_order(ord_arr: np.ndarray, d_up: int, per_column: bool = True):
     """(L numerators maxed over columns, (n, d_up+1) per-column numerator
     lengths, or None when per_column is False).
 
-    Without per-column lengths only the running maxima are kept, and each
-    block goes through `_screen_block`: only the columns and dimensions
-    whose cone bound can still raise a maximum reach `_visit` and the
-    reduction."""
+    Per-column lengths take every column through `_lengths`, each against
+    its own longest apparent bars.  Without them only the running maxima
+    are kept, and each block goes through `_screen_block`: only the
+    columns whose cone bound can still raise a maximum reach `_lengths`."""
     if d_up < 0:
         raise ValueError("d_up must be >= 0")
     m, n = ord_arr.shape
@@ -583,18 +579,21 @@ def _lk_from_order(ord_arr: np.ndarray, d_up: int, per_column: bool = True):
     ranks = ord_arr.astype(np.int16 if n < 2**15 else np.int32)
     lengths = np.zeros((n, d_up + 1), dtype=np.int64) if per_column else None
     best = np.zeros(d_up + 1, dtype=np.int64)
-    screen = not per_column and max_size >= 3
+    zero = np.zeros((max(max_size - 2, 0), 1), dtype=np.int64)
     for cols, gaps in subset_gaps(ranks, ranks, max_size):
-        if screen:
-            left, U, open_ = _screen_block(gaps, faces, best)
-            if left.size:
-                _visit(gaps, U, open_, left, faces, best)
+        if per_column:
+            out = lengths[cols.start : cols.stop]
+            out[:, 0] = gaps[:m].max(axis=0)
+            for c0 in range(0, len(cols), CHUNK) if max_size >= 3 else ():
+                _lengths(np.ascontiguousarray(gaps[:, c0 : c0 + CHUNK]), faces, zero,
+                         out[c0 : c0 + CHUNK])
         else:
-            out = lengths[cols.start : cols.stop] if per_column else \
-                np.zeros((len(cols), d_up + 1), dtype=np.int64)
-            _block_lengths(gaps, faces, out)
-            np.maximum(best, out.max(axis=0), out=best)
+            best[0] = max(best[0], gaps[:m].max())
+            if max_size >= 3:
+                _screen_block(gaps, faces, best)
         del gaps  # no block outlives its use while the next one is built
+    if per_column:
+        best = lengths.max(axis=0)
     return best, lengths
 
 

@@ -7,8 +7,7 @@ capped there and flagged essential.  `persistence_intervals` reduces
 every column of `Filtration.boundary_columns()`, the matrix built by the
 same walk that checks a filtration; it is the reference path.  The
 estimator's L_k kernel calls `pair_reduction` only on what its shortcuts
-leave (see `estimator._block_lengths`, `estimator._apparent` and
-`estimator._reduce_chunk`):
+leave (see `estimator._lengths` and `estimator._apparent`):
 
 - apparent pairs (Bauer, "Ripser", JACT 2021): sigma is the youngest facet
   of tau and tau the oldest cofacet of sigma, a persistence pair that

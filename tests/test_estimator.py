@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -260,13 +261,14 @@ class TestLengthKernel:
 
 
 class TestHeavyLeftover:
-    """Tables on which nearly every anchor has an unfinished dimension, so
-    the leftover reduction runs with its implicit reducers and stops early
-    at the pair count; numerators are compared with the full reduction.
-    The reductions, their columns and their pairs are those the leftover
-    made when it set up one anchor at a time."""
+    """Tables on which nearly every anchor has a dimension that apparent
+    pairs leave unfinished, so the leftover reduction runs with its
+    implicit reducers and stops early at the pair count; numerators are
+    compared with the full reduction.  The reductions, their columns and
+    their pairs are pinned: those the per-column lengths make when each
+    column's cone bound is checked against its own longest apparent bars."""
 
-    WORK = {False: (161, 785, 773), True: (165, 806, 789)}  # calls, columns, pairs
+    WORK = {False: (122, 620, 608), True: (140, 678, 661)}  # calls, columns, pairs
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_matches_full_reduction(self, monkeypatch, ties):
@@ -274,11 +276,12 @@ class TestHeavyLeftover:
         ord_arr = random_order_table(rng, 10, 60, ties).ord
         want = reference_lengths(ord_arr, 3)
         hits = dict(anchors=0, owned=0, early=0, calls=0, columns=0, pairs=0)
-        leftover, reduce = estimator._reduce_chunk, estimator.pair_reduction
+        apparent, reduce = estimator._apparent, estimator.pair_reduction
 
-        def counted_leftover(g, apparent, young, need, faces, out):
-            hits["anchors"] += int(need.any(axis=0).sum())
-            leftover(g, apparent, young, need, faces, out)
+        def counted_apparent(g, faces):
+            out = apparent(g, faces)
+            hits["anchors"] += int(out[3].any(axis=0).sum())
+            return out
 
         def counted_reduce(columns, owned, limit):
             def counted_owned(p):
@@ -293,7 +296,7 @@ class TestHeavyLeftover:
             hits["pairs"] += len(pairs)
             return pairs, creators
 
-        monkeypatch.setattr(estimator, "_reduce_chunk", counted_leftover)
+        monkeypatch.setattr(estimator, "_apparent", counted_apparent)
         monkeypatch.setattr(estimator, "pair_reduction", counted_reduce)
         _, per_column = _lk_from_order(ord_arr, 3)
         assert np.array_equal(per_column, want)
@@ -371,31 +374,42 @@ class TestConeBound:
     @example(m=4, n=9, kind="shared", seed=0, data=None)
     @settings(max_examples=150, deadline=None)
     def test_lengths_within_bound(self, m, n, kind, seed, data):
+        # with the faces that beat a floor classified cell by cell; with
+        # barren faces left out, every bar longer than the bound and the
+        # floor is apparent
         ord_arr = kind_table(m, n, kind, seed)
         draw = (lambda s, default: default) if data is None else (lambda s, _: data.draw(s))
         d_up = draw(st.integers(1, 5), 3)
         apex_count = draw(st.integers(1, m), 1)
         floor = draw(st.one_of(st.just(0), st.integers(0, n)), 0)
+        per_cell = draw(st.booleans(), False)
         max_size = min(d_up + 2, m)
         faces = subset_tables(m, max_size)
-        want = reference_lengths(ord_arr, d_up)
+        want = reference_lengths(ord_arr, d_up)[:, 1 : max_size - 1].T
         rng = np.random.Generator(np.random.PCG64(seed))
         ranks = ord_arr.astype(np.int16)
         for cols, gaps in subset_gaps(ranks, ranks, max_size):
-            # each column tries its own apex set
+            # each column tries its own apex set, and its own floors
             apexes = np.argsort(rng.random((m, len(cols))), axis=0)[:apex_count]
-            for k in range(1, max_size - 1):
-                _, j, bound = estimator._class_bounds(gaps, faces, k, floor, apexes)
-                assert np.all(bound > floor)
-                reach = np.full(len(cols), floor)
-                np.maximum.at(reach, j, bound)
-                assert np.all(want[cols, k] <= reach)
+            floors = rng.integers(0, n + 1, size=(max_size - 2, len(cols))) if per_cell else \
+                np.full((max_size - 2, 1), floor)
+            dims = range(1, max_size - 1)
+            reach = estimator._class_bounds(gaps, faces, dims, floors, apexes)
+            assert np.all(want[:, cols] <= np.maximum(reach, floors))
+            for k in dims:  # one dimension at a time, as the screen bounds them
+                reach = estimator._class_bounds(gaps, faces, range(k, k + 1), floors[k - 1], apexes)
+                assert np.all(want[k - 1, cols] <= np.maximum(reach[0], floors[k - 1]))
+            apparent, young, length, _ = _apparent(gaps, faces)
+            barren = estimator._barren(apparent, young, faces)
+            reach = estimator._class_bounds(gaps, faces, dims, floors, apexes, barren)
+            assert np.all(want[:, cols] <= np.maximum(np.maximum(reach, floors), length))
 
 
 class TestScreen:
-    """compute_Lk without per-column lengths bounds each column, settles
-    apparent pairs and reduces only what can still raise a maximum; its L
-    is the maximum of the per-column lengths."""
+    """compute_Lk without per-column lengths bounds each column and sends
+    only what can still raise a maximum through the lengths route; its L
+    is the maximum of the per-column lengths.  Both paths are checked
+    against the full reduction."""
 
     @given(st.integers(3, 8), st.one_of(st.sampled_from(EDGE_N), st.integers(4, 70)),
            st.sampled_from(TABLE_KINDS), st.integers(0, 2**32 - 1), st.integers(1, 5))
@@ -404,10 +418,13 @@ class TestScreen:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_column_maximum(self, m, n, kind, seed, d_up):
         ord_arr = kind_table(m, n, kind, seed)
-        want, _ = _lk_from_order(ord_arr, d_up)
+        want = reference_lengths(ord_arr, d_up)
+        L, per_column = _lk_from_order(ord_arr, d_up)
+        assert np.array_equal(per_column, want)
+        assert np.array_equal(L, want.max(axis=0))
         L, per_column = _lk_from_order(ord_arr, d_up, per_column=False)
         assert per_column is None
-        assert np.array_equal(L, want)
+        assert np.array_equal(L, want.max(axis=0))
 
     def test_reduces_few_columns(self, monkeypatch):
         M = sample_pair(RegularPairSpec.random_quadratic(d=3, m=10, seed=7), n=400, seed=1)[1]
@@ -428,13 +445,47 @@ class TestScreen:
         faces = subset_tables(m, max_size)
         (_, gaps), = subset_gaps(ord_arr, ord_arr, max_size)
         apparent, young, _, _ = _apparent(gaps, faces)
+        barren = estimator._barren(apparent, young, faces)
         for k in range(1, max_size - 1):
             lo, hi = faces.start[k + 1], faces.start[k + 2]
             f, j = (a.ravel() for a in np.meshgrid(np.arange(lo, hi), np.arange(n), indexing="ij"))
             destroys, creates, _ = estimator._apparent_faces(gaps, faces, k, f, j)
             assert np.array_equal(destroys, apparent[f - m, j])
-            barren = estimator._barren(apparent, young, faces, k)
-            assert np.array_equal(destroys | creates, barren[f - lo, j])
+            assert np.array_equal(destroys | creates, barren[f - m, j])
+
+
+@pytest.mark.parametrize("shape", [(10, 60, 3), (12, 40, 5)])
+def test_screen_reduces_as_per_column(monkeypatch, shape):
+    # L alone takes the per-column route with higher floors and the same
+    # clearing: each reduction it runs is one the per-column lengths run,
+    # column for column, so it holds no larger reduction in memory
+    m, n, d_up = shape
+    ord_arr = random_order_table(np.random.Generator(np.random.PCG64(20261020)), m, n, False).ord
+    runs = {True: [], False: []}
+    reduce = estimator.pair_reduction
+    for per_column in (True, False):
+        monkeypatch.setattr(estimator, "pair_reduction", lambda columns, owned, limit, seen=runs[per_column]:
+                            seen.append(tuple(columns)) or reduce(columns, owned, limit))
+        _lk_from_order(ord_arr, d_up, per_column)
+    assert runs[False] and set(runs[False]) <= set(runs[True])
+
+
+def test_screen_within_per_column_peak():
+    # the two paths share the lengths route and its clearing, so L alone
+    # holds no more than the per-column lengths but for a few KB of screen
+    # state; the screen's open faces once cost a seventh more here
+    ord_arr = random_order_table(np.random.Generator(np.random.PCG64(0)), 16, 64, False).ord
+    for per_column in (True, False):  # builds the cached face tables
+        _lk_from_order(ord_arr[:, :16], 5, per_column)
+    peaks = []
+    for per_column in (True, False):
+        tracemalloc.start()
+        try:
+            _lk_from_order(ord_arr, 5, per_column)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.02 * peaks[0]
 
 
 class TestDHatLow:
