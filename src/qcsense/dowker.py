@@ -56,11 +56,10 @@ SCAN_CELLS = 32768
 
 # Faces subset_tables builds at most.  Measured at (m, max_size) = (20, 8),
 # 263,949 faces, on a uniform 64-column table (tracemalloc): the build,
-# with the estimator's cached cone and cofacet-slot tables, peaks at 101
-# MB and holds 81 MB, and compute_Lk adds 322 MB with per-column lengths
-# or without (1.2 KB a face: both take one lengths route, a chunk of
-# columns at a time).  At the cap that is about 0.64 GB, plus 0.16 GB of
-# tables.
+# with the estimator's cached cone table, peaks at 89 MB and holds 82 MB,
+# and compute_Lk adds 322 MB with per-column lengths or without (1.2 KB a
+# face: both take one lengths route, a chunk of columns at a time).  At
+# the cap that is about 0.64 GB, plus 0.16 GB of tables.
 MAX_FACES = 2**19
 
 GRID_SNAP = 1e-9  # rescue k/n thresholds from float round-off
@@ -244,7 +243,10 @@ class FaceTables(NamedTuple):
       vertex_table[k, t];
     - cofacet_table[k] lists the cofacets of face k < start[max_size];
     - slot_table[k - m, t] is the slot of face k in the cofacet row of
-      facet_table[k - m, t] (8-bit while m <= 255).
+      facet_table[k - m, t] (8-bit while m <= 255);
+    - cofacet_slot_table[k, s] is the slot of face k in the facet row of
+      cofacet_table[k, s], so facet_table[cofacet_table[k, s] - m,
+      cofacet_slot_table[k, s]] = k (8-bit too).
 
     Facet rows descend and cofacet rows ascend in face index over their
     real slots: removing a later vertex leaves a lexicographically
@@ -260,6 +262,7 @@ class FaceTables(NamedTuple):
     facet_table: np.ndarray
     cofacet_table: np.ndarray
     slot_table: np.ndarray
+    cofacet_slot_table: np.ndarray
 
 
 def _fill(rows: np.ndarray, block: np.ndarray) -> None:
@@ -291,6 +294,7 @@ def subset_tables(m: int, max_size: int) -> FaceTables:
     facet_table = np.empty((start[-1] - m, max_size), dtype=np.intp, order="F")
     cofacet_table = np.empty((start[max_size], m - 1), dtype=np.intp, order="F")
     slot_table = np.empty((start[-1] - m, max_size), dtype=np.min_scalar_type(m), order="F")
+    cofacet_slot_table = np.empty(cofacet_table.shape, dtype=slot_table.dtype, order="F")
     for s in range(1, max_size + 1):
         verts = vertex_table[start[s] : start[s + 1]]
         _fill(verts, np.fromiter(chain.from_iterable(combinations(range(m), s)), dtype=np.intp,
@@ -302,10 +306,12 @@ def subset_tables(m: int, max_size: int) -> FaceTables:
             facets[:, s:] = facets[:, s - 1 : s]
             _fill(slot_table[start[s] - m : start[s + 1] - m], verts[:, :s] - np.arange(s))
             # face k of size s-1 is the facet of m-s+1 cofacets: group the
-            # facet entries by facet
-            _fill(cofacet_table[start[s - 1] : start[s]], start[s] + np.argsort(
-                facets[:, :s], axis=None, kind="stable").reshape(-1, m - s + 1) // s)
-    return FaceTables(m, max_size, start, vertex_table, facet_table, cofacet_table, slot_table)
+            # facet entries (cofacet, facet slot) by facet
+            entry = np.argsort(facets[:, :s], axis=None, kind="stable").reshape(-1, m - s + 1)
+            _fill(cofacet_table[start[s - 1] : start[s]], start[s] + entry // s)
+            _fill(cofacet_slot_table[start[s - 1] : start[s]], entry % s)
+    return FaceTables(m, max_size, start, vertex_table, facet_table, cofacet_table, slot_table,
+                      cofacet_slot_table)
 
 
 def face_fronts(X: np.ndarray, faces: np.ndarray):

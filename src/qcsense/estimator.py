@@ -8,15 +8,14 @@ single threshold call by a first-quartile test over replicates.
 
 Lengths come from the gap table of `dowker.subset_gaps`, CHUNK columns
 at a time, by one route (`_lengths`): apparent pairs and a count of the
-pairs each dimension must have settle most dimensions, a cone over one
-of the column's vertices bounds every other bar (`_class_bounds`), and
-only the (column, dimension) whose bound beats its floor go through the
-F2 reduction, with clearing.  The floor is the column's own longest
-apparent bar for per-column lengths.  Callers that need L alone
-(compute_Lk without per-column lengths, both subsampling modes) raise
-it to the running maximum, and send down the route only the columns
-whose bound, with the faces that beat it classified one by one, beats
-that maximum (`_screen_block`).
+pairs each dimension must have settle most dimensions, and the F2
+reduction, with clearing, finds the rest.  Per-column lengths reduce
+every (column, dimension) that apparent pairs leave unfinished.  Callers
+that need L alone (compute_Lk without per-column lengths, both
+subsampling modes) screen each block first (`_screen_block`): a cone over
+one of the column's vertices bounds every bar (`_class_bounds`, with the
+faces that beat the running maximum classified one by one), and only the
+columns and dimensions whose bound beats that maximum go down the route.
 """
 
 from __future__ import annotations
@@ -193,17 +192,16 @@ def _apparent(g: np.ndarray, faces: FaceTables) -> tuple[np.ndarray, ...]:
     return apparent, young, np.maximum.reduceat(least, rows[:-1], axis=0), need
 
 
-def _lengths(g: np.ndarray, faces: FaceTables, floor: np.ndarray, out: np.ndarray,
+def _lengths(g: np.ndarray, faces: FaceTables, out: np.ndarray,
              reach: np.ndarray | None = None) -> None:
     """Write into out[j, k] the longest interval (grade numerators) of
     each dimension 1 <= k <= max_size-2 of column j of the gaps g, for the
-    c <= CHUNK columns of g, wherever it is longer than floor[k-1]; an
-    interval no longer than that may be written shorter.  g has one row
-    per face of `faces`, in its numbering, and out one row per column.
-    floor is zero for per-column lengths and the running maxima for L
-    alone, whose screen passes its `_class_bounds` of these columns as
-    reach: bounds of the faces it did not find barren, and apparent
-    creators' own lengths, which never beat the floor below.
+    c <= CHUNK columns of g.  g has one row per face of `faces`, in its
+    numbering, and out one row per column.  L alone passes reach
+    (`_screen_block`): reach[k-1, j] is at least the length of every bar
+    of (k, j) that can raise the running maximum, and 0 where none can;
+    out[j, k] is then exact where it beats that maximum and may be
+    written shorter elsewhere.
 
     Face sigma enters column a's ray filtration at tmax - g_sigma, tmax =
     max_i ord_i(a), so the filtration order is descending gap with ties
@@ -225,13 +223,12 @@ def _lengths(g: np.ndarray, faces: FaceTables, floor: np.ndarray, out: np.ndarra
       tau's boundary column is already reduced with pivot sigma: the pair
       is a persistence pair.  A dimension with C(m-1, k+1) apparent pairs
       is settled by them (`_apparent`).
-    - any other pair is born at a face that is not `_barren` and is no
-      longer than that face's cone bound (`_class_bounds`), so (k, j) is
-      settled unless such a bound beats its floor, the longer of
-      floor[k-1] and column j's longest apparent pair.  Every unfinished
-      dimension below one that is not settled is reduced too: its pairs
-      clear the reduction above, which then enters what it would with
-      every dimension reduced.
+    - any other pair is found by reducing (k, j).  Without reach every
+      (k, j) that apparent pairs leave unfinished is reduced.  With it,
+      (k, j) is settled unless reach[k-1, j] beats column j's longest
+      apparent pair, and every unfinished dimension below one that is not
+      settled is reduced too: its pairs clear the reduction above, which
+      then enters what it would with every dimension reduced.
 
     The rest go through one pair_reduction per column and dimension, on
     coboundary columns (same pairs as the boundary matrix: de Silva,
@@ -248,26 +245,21 @@ def _lengths(g: np.ndarray, faces: FaceTables, floor: np.ndarray, out: np.ndarra
     1 also non-apparent dimension-0 destroyers), so the reduction stops at
     the count; any later column would reduce to zero.
 
-    The bounds, the filtration order, the reversed positions and the free
-    faces (not barren) are found once for the chunk; only building a
-    column's coboundaries and its reductions run column by column.
+    The filtration order, the reversed positions and the free faces (not
+    barren) are found once for the chunk; only building a column's
+    coboundaries and its reductions run column by column.
     """
     top = faces.max_size - 2
     apparent, young, length, need = _apparent(g, faces)
     out[:, 1 : top + 1] = length.T
-    barren = _barren(apparent, young, faces)
-    bar = np.maximum(length, floor)  # what a reduction must beat
-    if reach is None:
-        bar[need == 0] = np.iinfo(bar.dtype).max  # settled: nothing to bound
-        apexes = np.argsort(~g[: faces.m].T, axis=1)[:, :APEXES].T  # ties in any order
-        reach = _class_bounds(g, faces, range(1, top + 1), bar, apexes, barren)
-    need *= np.logical_or.accumulate(((reach > bar) & (need > 0))[::-1], axis=0)[::-1]
+    if reach is not None:
+        need *= np.logical_or.accumulate(((reach > length) & (need > 0))[::-1], axis=0)[::-1]
     cols = np.flatnonzero(need.any(axis=0))
     if not cols.size:
         return
     if cols.size < need.shape[1]:  # no copies when every column is left
-        g, barren, apparent, young, need = (x.take(cols, axis=1)
-                                            for x in (g, barren, apparent, young, need))
+        g, apparent, young, need = (x.take(cols, axis=1) for x in (g, apparent, young, need))
+    barren = _barren(apparent, young, faces)
     (S, c), m, cofacets, facets = g.shape, faces.m, faces.cofacet_table, faces.facet_table
     order, shift = _age_keys(g.T)  # faces in filtration order
     order &= (1 << shift) - 1
@@ -347,15 +339,16 @@ def _screen_block(gaps: np.ndarray, faces: FaceTables, best: np.ndarray) -> None
     top = faces.max_size - 2
     floor = best[1 : top + 1]
     apexes = np.argsort(~gaps[: faces.m].T, axis=1)[:, :APEXES].T  # ties in any order
-    U = np.concatenate([_class_bounds(gaps, faces, range(k, k + 1), floor[k - 1], apexes)
-                        for k in range(1, top + 1)])
+    U = np.stack([_class_bounds(gaps, faces, k, floor[k - 1], apexes) for k in range(1, top + 1)])
     slack = (U - floor[:, None]).max(axis=0)
     queue = np.flatnonzero(slack > 0)
     queue = queue[np.argsort(-slack[queue], kind="stable")]
     while queue.size:
         chunk, queue = np.sort(queue[:CHUNK]), queue[CHUNK:]
+        reach = U[:, chunk]
+        reach *= reach > floor[:, None]  # 0 where no bar can raise a maximum
         out = np.zeros((chunk.size, top + 1), dtype=np.int64)
-        _lengths(gaps[:, chunk], faces, floor[:, None], out, U[:, chunk])
+        _lengths(gaps[:, chunk], faces, out, reach)
         np.maximum(floor, out[:, 1:].max(axis=0), out=floor)
         queue = queue[(U[:, queue] > floor[:, None]).any(axis=0)]
 
@@ -386,51 +379,28 @@ def _barren(apparent, young, faces) -> np.ndarray:
     `_apparent` output, that create no bar a reduction must find: the
     apparent destroyers and the apparent creators, the youngest facets of
     apparent faces one size up.  `_free_faces` feeds the reduction the
-    rest; `_lengths` bounds only the rest.  The creators are read
-    from the cofacet side, one cofacet slot at a time (`_cofacet_slots`),
-    with no index arrays."""
+    rest.  The creators are read from the cofacet side, one cofacet slot
+    at a time (`FaceTables.cofacet_slot_table`), with no index arrays."""
     m, hi = faces.m, faces.start[faces.max_size]
     barren = apparent[: hi - m].copy()
-    slot = _cofacet_slots(m, faces.max_size)
     for s in range(m - 2):
         tau = faces.cofacet_table[m:hi, s] - m
-        creates = young.take(tau, axis=0) == slot[:, s, None]
+        creates = young.take(tau, axis=0) == faces.cofacet_slot_table[m:hi, s, None]
         creates &= apparent.take(tau, axis=0)
         barren |= creates
     return barren
 
 
-@lru_cache(maxsize=None)
-def _cofacet_slots(m: int, max_size: int) -> np.ndarray:
-    """slot[sigma - m, s] = the facet slot of face sigma in its cofacet
-    slot s, for the faces of sizes 2 .. max_size-1 of subset_tables(m,
-    max_size), and the dtype's largest value past sigma's real slots.
-    Cofacet slot s adds a vertex v past the t vertices of sigma below v (s
-    = v - t, see `FaceTables`), and t counts the vertices u_i (0-based i)
-    of sigma with u_i - i <= s."""
-    faces = subset_tables(m, max_size)
-    start, dtype = faces.start, faces.slot_table.dtype
-    slot = np.full((start[max_size] - m, m - 2), np.iinfo(dtype).max, dtype=dtype, order="F")
-    for size in range(2, max_size):
-        below = faces.vertex_table[start[size] : start[size + 1], :size] - np.arange(size)
-        slot[start[size] - m : start[size + 1] - m, : m - size] = \
-            (below[:, :, None] <= np.arange(m - size)).sum(axis=1)
-    return slot
-
-
-def _class_bounds(gaps: np.ndarray, faces: FaceTables, dims: range, floor, apexes: np.ndarray,
-                  barren: np.ndarray | None = None) -> np.ndarray:
-    """Bound the bars of the dimensions dims (a range in 1 .. max_size-2)
-    of every column of gaps where they may beat floor (one row per
-    dimension, one column per column of gaps or one for all): returns
-    reach, where reach[i, j] is at least the length of every
-    dimension-dims[i] bar of column j that beats floor[i, j], and
-    reach[i, j] <= floor[i, j] when there is none, leaving out the bars
-    born at barren faces (`_barren`, one row per face of dims, by face
-    index).  Without barren the faces that beat a floor are classified
-    one by one (`_apparent_faces`): an apparent destroyer creates no bar,
-    and an apparent creator's bar has a known length.  apexes[:, j] lists
-    the apex vertices of column j.
+def _class_bounds(gaps: np.ndarray, faces: FaceTables, k: int, floor,
+                  apexes: np.ndarray) -> np.ndarray:
+    """Bound the dimension-k bars (1 <= k <= max_size-2) of every column
+    of gaps where they may beat the scalar floor: returns reach, where
+    reach[j] is at least the length of every dimension-k bar of column j
+    that beats floor, and reach[j] <= floor when there is none.  The
+    faces whose bound beats floor are classified one by one
+    (`_apparent_faces`): an apparent destroyer creates no bar, and an
+    apparent creator's bar has a known length.  apexes[:, j] lists the
+    apex vertices of column j.
 
     The bound.  Take a bar born at sigma (size k+1) with gap g_sigma.  Its
     representative cycle z, the reduction's V-column, lies on sigma and on
@@ -450,72 +420,63 @@ def _class_bounds(gaps: np.ndarray, faces: FaceTables, dims: range, floor, apexe
 
     A single apex needs no sort: gaps fall along the filtration order, so
     the max over sigma of g_sigma - min_{rho <= sigma} g(rho + v) is the
-    max over rho of g_rho - g(rho + v), and one gather of each apex's cone
-    gaps serves every dimension.  The columns that no single apex settles
-    are sorted by age once per dimension left open, the faces younger than
-    every face beating its column's floor cut (no length exceeds its
-    creator's gap), and the prefix minima of each apex's cone gaps combine
-    into each face's bound.  CONE_CELLS bounds the (column, face) cells of
-    a pass."""
+    max over rho of g_rho - g(rho + v).  The columns that no single apex
+    settles are sorted by age once, the faces younger than every face
+    beating floor cut (no length exceeds its creator's gap), and the
+    prefix minima of each apex's cone gaps combine into each face's
+    bound.  CONE_CELLS bounds the (column, face) cells of a pass."""
     m, start = faces.m, faces.start
-    lo, hi, B = start[dims[0] + 1], start[dims[-1] + 2], gaps.shape[1]
-    g = gaps[lo:hi]  # the faces of sizes dims[0]+1 .. dims[-1]+1
-    R = hi - lo
-    cuts = [start[k + 1] - lo for k in dims] + [R]  # dims[i]'s faces: cuts[i] .. cuts[i+1]-1
-    floor = np.broadcast_to(floor, (len(dims), B))
-    reach = np.zeros((len(dims), B), dtype=gaps.dtype)  # bounds are >= 0
-    live = np.maximum.reduceat(g, cuts[:-1], axis=0) > floor  # no length exceeds its creator's gap
-    # the cone faces of dims, as flat offsets into gaps, one row per apex
+    lo, hi, B = start[k + 1], start[k + 2], gaps.shape[1]
+    F = hi - lo
+    g = gaps[lo:hi]  # the faces of size k+1
+    reach = np.zeros(B, dtype=gaps.dtype)  # bounds are >= 0
+    live = g.max(axis=0) > floor  # no length exceeds its creator's gap
+    # the cone faces of the class, as flat offsets into gaps, one row per apex
     tab = _cone_table(m, faces.max_size)[:, lo - m : hi - m] * B
-    step = max(1, CONE_CELLS // R)
+    step = max(1, CONE_CELLS // F)
     for c0 in range(0, B, step):
-        c = np.flatnonzero(live[:, c0 : c0 + step].any(axis=0)) + c0
+        c = np.flatnonzero(live[c0 : c0 + step]) + c0
         if not c.size:
             continue
-        gc, fc, keep = g.T[c], floor.T[c], live.T[c]  # keep: the dimensions left open
+        gc = g.T[c]
         cones = []  # each apex's cone gaps, for the columns no apex settles alone
+        keep = np.ones(c.size, dtype=bool)
         for i, vertex in enumerate(apexes):
             at = tab.take(vertex[c], axis=0)
             at += c[:, None]
             cones.append(gaps.take(at))
             del at
-            keep &= np.maximum.reduceat(gc - cones[-1], cuts[:-1], axis=1) > fc
+            keep &= (gc - cones[-1]).max(axis=1) > floor
             # drop the settled columns: when a quarter is, and before the sort
-            alive = keep.any(axis=1)
-            if not alive.all() and (i == len(apexes) - 1 or 4 * alive.sum() < 3 * alive.size):
-                c, gc, fc, keep = c[alive], gc[alive], fc[alive], keep[alive]
-                cones = [h[alive] for h in cones]
-        bounds = []  # (dimension, its open columns, faces, bounds)
-        for i in np.flatnonzero(keep.any(axis=0)).tolist():
-            rows = np.flatnonzero(keep[:, i])
-            key, shift = _age_keys(gc[rows, cuts[i] : cuts[i + 1]])  # the faces by age, oldest first
-            # through the youngest face that beats its column's floor
-            cut = np.count_nonzero((key < (~fc[rows, i, None] << shift)).any(axis=0))
-            ordered = (~(key[:, :cut] >> shift)).astype(gaps.dtype)
-            flat = (key[:, :cut] & ((1 << shift) - 1)).astype(np.int32)  # c'R < 2**31
-            del key
-            flat += (rows * R + cuts[i]).astype(np.int32)[:, None]  # into the rows of cones
-            each = None
-            for h in cones:
-                h = h.take(flat)
-                np.minimum.accumulate(h, axis=1, out=h)
-                np.subtract(ordered, h, out=h)
-                each = h if each is None else np.minimum(each, h, out=each)  # each face's bound
-            bounds.append((i, rows, flat, each))
-        del cones, gc
-        dead = None if barren is None or not c.size else barren.T[c]
-        for i, rows, flat, each in bounds:
-            if dead is not None:
-                each[dead.take(flat)] = 0
-            else:  # classify the faces that beat the floor, CONE_CELLS // m at a time
-                cells = np.flatnonzero(each > fc[rows, i, None])
-                for s0 in range(0, cells.size, CONE_CELLS // m):
-                    r, at = np.divmod(cells[s0 : s0 + CONE_CELLS // m], each.shape[1])
-                    face, j = flat[r, at] - rows[r] * R + lo, c[rows[r]]
-                    destroys, creates, tau = _apparent_faces(gaps, faces, dims[i], face, j)
-                    each[r[destroys], at[destroys]] = 0  # creates no bar
-                    each[r[creates], at[creates]] = (gaps[face, j] - gaps[tau, j])[creates]  # known
-            reach[i, c[rows]] = each.max(axis=1)
+            if not keep.all() and (i == len(apexes) - 1 or 4 * keep.sum() < 3 * keep.size):
+                c, gc = c[keep], gc[keep]
+                cones = [h[keep] for h in cones]
+                keep = keep[keep]
+        if not c.size:
+            continue
+        key, shift = _age_keys(gc)  # the faces by age, oldest first
+        del gc
+        # through the youngest face that beats floor in some column
+        cut = np.count_nonzero(~(key.min(axis=0) >> shift) > floor)
+        ordered = (~(key[:, :cut] >> shift)).astype(gaps.dtype)
+        flat = (key[:, :cut] & ((1 << shift) - 1)).astype(np.int32)  # cF < 2**31
+        del key
+        flat += (np.arange(c.size, dtype=np.int32) * F)[:, None]  # into the rows of cones
+        each = None
+        while cones:
+            h = cones.pop().take(flat)
+            np.minimum.accumulate(h, axis=1, out=h)
+            np.subtract(ordered, h, out=h)
+            each = h if each is None else np.minimum(each, h, out=each)  # each face's bound
+        # classify the faces that beat the floor, CONE_CELLS // m at a time
+        cells = np.flatnonzero(each > floor)
+        for s0 in range(0, cells.size, CONE_CELLS // m):
+            r, at = np.divmod(cells[s0 : s0 + CONE_CELLS // m], cut)
+            face, j = flat[r, at] - r * F + lo, c[r]
+            destroys, creates, tau = _apparent_faces(gaps, faces, k, face, j)
+            each[r[destroys], at[destroys]] = 0  # creates no bar
+            each[r[creates], at[creates]] = (gaps[face, j] - gaps[tau, j])[creates]  # known
+        reach[c] = each.max(axis=1)
     return reach
 
 
@@ -565,10 +526,11 @@ def _lk_from_order(ord_arr: np.ndarray, d_up: int, per_column: bool = True):
     """(L numerators maxed over columns, (n, d_up+1) per-column numerator
     lengths, or None when per_column is False).
 
-    Per-column lengths take every column through `_lengths`, each against
-    its own longest apparent bars.  Without them only the running maxima
-    are kept, and each block goes through `_screen_block`: only the
-    columns whose cone bound can still raise a maximum reach `_lengths`."""
+    Per-column lengths take every column through `_lengths`, which
+    reduces what apparent pairs leave unfinished.  Without them only the
+    running maxima are kept, and each block goes through `_screen_block`:
+    only the columns whose cone bound can still raise a maximum reach
+    `_lengths`."""
     if d_up < 0:
         raise ValueError("d_up must be >= 0")
     m, n = ord_arr.shape
@@ -579,14 +541,12 @@ def _lk_from_order(ord_arr: np.ndarray, d_up: int, per_column: bool = True):
     ranks = ord_arr.astype(np.int16 if n < 2**15 else np.int32)
     lengths = np.zeros((n, d_up + 1), dtype=np.int64) if per_column else None
     best = np.zeros(d_up + 1, dtype=np.int64)
-    zero = np.zeros((max(max_size - 2, 0), 1), dtype=np.int64)
     for cols, gaps in subset_gaps(ranks, ranks, max_size):
         if per_column:
             out = lengths[cols.start : cols.stop]
             out[:, 0] = gaps[:m].max(axis=0)
             for c0 in range(0, len(cols), CHUNK) if max_size >= 3 else ():
-                _lengths(np.ascontiguousarray(gaps[:, c0 : c0 + CHUNK]), faces, zero,
-                         out[c0 : c0 + CHUNK])
+                _lengths(np.ascontiguousarray(gaps[:, c0 : c0 + CHUNK]), faces, out[c0 : c0 + CHUNK])
         else:
             best[0] = max(best[0], gaps[:m].max())
             if max_size >= 3:

@@ -81,6 +81,8 @@ class InterleaveResult:
     face and a front column that weakly beats its column on that face's
     rows, whose least shift is at least its own.  The true infimum over
     real shifts lies in (distance - 1/denominator, distance].
+    ``skeleton`` is the one computed: a requested bound past m - 1 reads
+    m - 1, the full complex.
     """
 
     distance: float
@@ -159,6 +161,6 @@ def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult
         m=m,
         n_a=n_a,
         n_b=n_b,
-        skeleton=skeleton,
+        skeleton=faces.max_size - 1,
         certificate=(faces.start[-1] * n_a, faces.start[-1] * n_b),
     )

@@ -293,6 +293,24 @@ class TestSubsetTables:
                 cofacets = faces.cofacet_table[start[s] : start[s + 1], : m - s]
                 assert np.all(np.diff(cofacets, axis=1) > 0)
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_cofacet_slots(self, m):
+        # the barren-face rule reads each face's facet slot in each of its
+        # cofacets off cofacet_slot_table
+        for max_size in range(1, 8):
+            faces = subset_tables(m, max_size)
+            start, slot = faces.start, faces.cofacet_slot_table
+            assert slot.dtype == np.uint8 and slot.flags.f_contiguous
+            assert slot.shape == faces.cofacet_table.shape
+            for s in range(1, faces.max_size):
+                k = np.arange(start[s], start[s + 1])[:, None]
+                real = slot[start[s] : start[s + 1], : m - s]
+                tau = faces.cofacet_table[start[s] : start[s + 1], : m - s]
+                facets = faces.facet_table[tau - m, real]
+                assert np.array_equal(facets, np.broadcast_to(k, tau.shape))
+                # padded by the last real slot, as cofacet_table by the last cofacet
+                assert np.all(slot[start[s] : start[s + 1], m - s :] == real[:, -1:])
+
 
 # Column counts at and around the subset_gaps block edges.
 EDGE_COLUMNS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)

@@ -265,10 +265,10 @@ class TestHeavyLeftover:
     pairs leave unfinished, so the leftover reduction runs with its
     implicit reducers and stops early at the pair count; numerators are
     compared with the full reduction.  The reductions, their columns and
-    their pairs are pinned: those the per-column lengths make when each
-    column's cone bound is checked against its own longest apparent bars."""
+    their pairs are pinned: one per (column, dimension) that apparent pairs
+    leave unfinished, with clearing."""
 
-    WORK = {False: (122, 620, 608), True: (140, 678, 661)}  # calls, columns, pairs
+    WORK = {False: (161, 785, 773), True: (165, 806, 789)}  # calls, columns, pairs
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_matches_full_reduction(self, monkeypatch, ties):
@@ -367,42 +367,31 @@ def kind_table(m: int, n: int, kind: str, seed: int) -> np.ndarray:
 
 class TestConeBound:
     """The certificate on its own: every column's dimension-k length is at
-    most the cone bound of its faces, or the floor, for any apex set."""
+    most its reach, with the faces that beat the floor classified cell by
+    cell, or the floor, for any apex set."""
 
     @given(st.integers(3, 8), st.integers(1, 70), st.sampled_from(TABLE_KINDS),
            st.integers(0, 2**32 - 1), st.data())
     @example(m=4, n=9, kind="shared", seed=0, data=None)
     @settings(max_examples=150, deadline=None)
     def test_lengths_within_bound(self, m, n, kind, seed, data):
-        # with the faces that beat a floor classified cell by cell; with
-        # barren faces left out, every bar longer than the bound and the
-        # floor is apparent
         ord_arr = kind_table(m, n, kind, seed)
         draw = (lambda s, default: default) if data is None else (lambda s, _: data.draw(s))
         d_up = draw(st.integers(1, 5), 3)
         apex_count = draw(st.integers(1, m), 1)
         floor = draw(st.one_of(st.just(0), st.integers(0, n)), 0)
-        per_cell = draw(st.booleans(), False)
         max_size = min(d_up + 2, m)
         faces = subset_tables(m, max_size)
-        want = reference_lengths(ord_arr, d_up)[:, 1 : max_size - 1].T
+        want = reference_lengths(ord_arr, d_up)
         rng = np.random.Generator(np.random.PCG64(seed))
         ranks = ord_arr.astype(np.int16)
         for cols, gaps in subset_gaps(ranks, ranks, max_size):
-            # each column tries its own apex set, and its own floors
+            # each column tries its own apex set
             apexes = np.argsort(rng.random((m, len(cols))), axis=0)[:apex_count]
-            floors = rng.integers(0, n + 1, size=(max_size - 2, len(cols))) if per_cell else \
-                np.full((max_size - 2, 1), floor)
-            dims = range(1, max_size - 1)
-            reach = estimator._class_bounds(gaps, faces, dims, floors, apexes)
-            assert np.all(want[:, cols] <= np.maximum(reach, floors))
-            for k in dims:  # one dimension at a time, as the screen bounds them
-                reach = estimator._class_bounds(gaps, faces, range(k, k + 1), floors[k - 1], apexes)
-                assert np.all(want[k - 1, cols] <= np.maximum(reach[0], floors[k - 1]))
-            apparent, young, length, _ = _apparent(gaps, faces)
-            barren = estimator._barren(apparent, young, faces)
-            reach = estimator._class_bounds(gaps, faces, dims, floors, apexes, barren)
-            assert np.all(want[:, cols] <= np.maximum(np.maximum(reach, floors), length))
+            for k in range(1, max_size - 1):
+                reach = estimator._class_bounds(gaps, faces, k, floor, apexes)
+                assert reach.shape == (len(cols),)
+                assert np.all(want[cols, k] <= np.maximum(reach, floor))
 
 
 class TestScreen:

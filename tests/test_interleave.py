@@ -103,7 +103,7 @@ def binary_search_distance(A, B, skeleton=None) -> InterleaveResult:
         m=m,
         n_a=n_a,
         n_b=n_b,
-        skeleton=skeleton,
+        skeleton=max_size - 1,  # the skeleton computed
         certificate=(checked * n_a, checked * n_b),
     )
 
@@ -375,9 +375,12 @@ class TestSkeletonBound:
             assert full.skeleton == 2
 
     def test_large_skeleton_clamps_to_full(self):
+        # the result reports the skeleton it computed: the full one
         A = _table_from_rows([[1.0, 2.0], [2.0, 1.0]])
         res = interleaving_distance(A, A, skeleton=10)
         assert res.distance == 0.0
+        assert res.skeleton == 1
+        assert res.to_json_obj() == interleaving_distance(A, A).to_json_obj()
 
 
 SCRIPT_RUNS = {
