@@ -41,15 +41,15 @@ GENERATOR_NAME = "numpy.random.PCG64"
 # 0.744 MB: the chunk scratch is about 20 bytes a face per column.
 CHUNK = 16
 
-# The cone bound's apexes per anchor (its oldest vertices) and the
-# (column, face) cells of one bound pass.  Against reducing every column
-# for L alone (medians of interleaved runs on a shared 2-core x86
-# machine), the screen took x0.78 of the time on analyze-n1200 (m = 10,
-# d_up = 3, n = 1,200) with 1 apex, x0.64 with 2 or 3, x0.62 with 4 and
-# x0.66 with 6, and x0.90 on the functions-m10 replicates (n = 150).
-# 8192 cells keep the kernel's tracemalloc peak at the births' on
-# analyze-n1200 and lift functions-m10's op peak 5% (6144: 2%, 2% slower
-# on analyze).
+# The cone bound's apexes per anchor (its oldest vertices) and the (column,
+# face) cells of one bound pass, which it also classifies in one call.
+# Against reducing every column for L alone (medians of interleaved runs on
+# a shared 2-core x86 machine), the screen took x0.78 of the time on
+# analyze-n1200 (m = 10, d_up = 3, n = 1,200) with 1 apex, x0.64 with 2 or
+# 3, x0.62 with 4 and x0.66 with 6, and x0.90 on the functions-m10
+# replicates (n = 150).  8192 cells keep the kernel's tracemalloc peak at
+# the births' on analyze-n1200 and lift functions-m10's op peak 5% (6144:
+# 2%, 2% slower on analyze).
 APEXES = 4
 CONE_CELLS = 8192
 
@@ -358,9 +358,7 @@ def _apparent_faces(gaps, faces, k, f, j) -> tuple[np.ndarray, ...]:
     gaps, cell by cell, by the rules of `_apparent`: tau is f's oldest
     cofacet (the first cofacet slot with the greatest gap), creates says
     f is tau's youngest facet (the first facet slot with the least gap),
-    and destroys says f is the oldest cofacet of its own youngest facet.
-    The screen classifies the faces that beat a running maximum, a few
-    at a time."""
+    and destroys says f is the oldest cofacet of its own youngest facet."""
     m, B = faces.m, gaps.shape[1]
     flat = gaps.ravel()
 
@@ -421,45 +419,30 @@ def _class_bounds(gaps: np.ndarray, faces: FaceTables, k: int, floor,
     A single apex needs no sort: gaps fall along the filtration order, so
     the max over sigma of g_sigma - min_{rho <= sigma} g(rho + v) is the
     max over rho of g_rho - g(rho + v).  The columns that no single apex
-    settles are sorted by age once, the faces younger than every face
-    beating floor cut (no length exceeds its creator's gap), and the
-    prefix minima of each apex's cone gaps combine into each face's
-    bound.  CONE_CELLS bounds the (column, face) cells of a pass."""
-    m, start = faces.m, faces.start
-    lo, hi, B = start[k + 1], start[k + 2], gaps.shape[1]
-    F = hi - lo
-    g = gaps[lo:hi]  # the faces of size k+1
+    settles are sorted by age once, and the prefix minima of each apex's
+    cone gaps combine into each face's bound, CONE_CELLS cells a pass."""
+    m, lo, hi, B = faces.m, faces.start[k + 1], faces.start[k + 2], gaps.shape[1]
+    F, g = hi - lo, gaps[lo:hi]  # g: the faces of size k+1
     reach = np.zeros(B, dtype=gaps.dtype)  # bounds are >= 0
-    live = g.max(axis=0) > floor  # no length exceeds its creator's gap
-    # the cone faces of the class, as flat offsets into gaps, one row per apex
+    # the cone faces of the class, as flat offsets into gaps, one row per vertex
     tab = _cone_table(m, faces.max_size)[:, lo - m : hi - m] * B
     step = max(1, CONE_CELLS // F)
     for c0 in range(0, B, step):
-        c = np.flatnonzero(live[c0 : c0 + step]) + c0
-        if not c.size:
-            continue
-        gc = g.T[c]
-        cones = []  # each apex's cone gaps, for the columns no apex settles alone
-        keep = np.ones(c.size, dtype=bool)
-        for i, vertex in enumerate(apexes):
+        c, gc = np.arange(c0, min(c0 + step, B)), g.T[c0 : c0 + step]
+        cones = []  # each apex's cone gaps
+        keep = np.ones(c.size, dtype=bool)  # the columns no single apex settles
+        for vertex in apexes:
             at = tab.take(vertex[c], axis=0)
             at += c[:, None]
             cones.append(gaps.take(at))
             del at
             keep &= (gc - cones[-1]).max(axis=1) > floor
-            # drop the settled columns: when a quarter is, and before the sort
-            if not keep.all() and (i == len(apexes) - 1 or 4 * keep.sum() < 3 * keep.size):
-                c, gc = c[keep], gc[keep]
-                cones = [h[keep] for h in cones]
-                keep = keep[keep]
+        c, cones = c[keep], [h[keep] for h in cones]
         if not c.size:
             continue
-        key, shift = _age_keys(gc)  # the faces by age, oldest first
-        del gc
-        # through the youngest face that beats floor in some column
-        cut = np.count_nonzero(~(key.min(axis=0) >> shift) > floor)
-        ordered = (~(key[:, :cut] >> shift)).astype(gaps.dtype)
-        flat = (key[:, :cut] & ((1 << shift) - 1)).astype(np.int32)  # cF < 2**31
+        key, shift = _age_keys(gc[keep])  # the faces by age, oldest first
+        ordered = (~(key >> shift)).astype(gaps.dtype)
+        flat = (key & ((1 << shift) - 1)).astype(np.int32)  # cF < 2**31
         del key
         flat += (np.arange(c.size, dtype=np.int32) * F)[:, None]  # into the rows of cones
         each = None
@@ -468,14 +451,12 @@ def _class_bounds(gaps: np.ndarray, faces: FaceTables, k: int, floor,
             np.minimum.accumulate(h, axis=1, out=h)
             np.subtract(ordered, h, out=h)
             each = h if each is None else np.minimum(each, h, out=each)  # each face's bound
-        # classify the faces that beat the floor, CONE_CELLS // m at a time
-        cells = np.flatnonzero(each > floor)
-        for s0 in range(0, cells.size, CONE_CELLS // m):
-            r, at = np.divmod(cells[s0 : s0 + CONE_CELLS // m], cut)
-            face, j = flat[r, at] - r * F + lo, c[r]
-            destroys, creates, tau = _apparent_faces(gaps, faces, k, face, j)
-            each[r[destroys], at[destroys]] = 0  # creates no bar
-            each[r[creates], at[creates]] = (gaps[face, j] - gaps[tau, j])[creates]  # known
+        # classify the faces that beat the floor
+        r, at = np.divmod(np.flatnonzero(each > floor), F)
+        face, j = flat[r, at] - r * F + lo, c[r]
+        destroys, creates, tau = _apparent_faces(gaps, faces, k, face, j)
+        each[r[destroys], at[destroys]] = 0  # creates no bar
+        each[r[creates], at[creates]] = (gaps[face, j] - gaps[tau, j])[creates]  # known
         reach[c] = each.max(axis=1)
     return reach
 

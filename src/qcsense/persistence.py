@@ -26,9 +26,10 @@ leave (see `estimator._lengths` and `estimator._apparent`):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .dowker import Filtration
+from .dowker import GRID_SNAP, Filtration
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,10 @@ class PersistenceDiagram:
         return tuple(iv for iv in self.intervals if iv.dim == k)
 
     def betti(self, grade: float) -> list[int]:
-        """Rank of dimension-k homology at the given grade, per k <= d_up,
-        read off the interval decomposition: alive means born at or before
-        the grade and (essential or dying strictly after it)."""
-        g = int(round(grade * self.denominator))
+        """Rank of dimension-k homology per k <= d_up at the grade, floored
+        to the grid as `Filtration.complex_at` does: alive means born at or
+        before it and (essential or dying strictly after it)."""
+        g = math.floor(grade * self.denominator + GRID_SNAP)
         counts = [0] * (self.d_up + 1)
         for iv in self.intervals:
             if iv.birth_numer <= g and (iv.essential or iv.death_numer > g):

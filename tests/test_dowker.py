@@ -165,6 +165,12 @@ class TestRayFiltration:
         again = Filtration(F.m, F.denominator, F.entries, F.t_end_numer)
         assert again.entries == F.entries
 
+    def test_accepts_integral_floats(self):
+        F = Filtration(2.0, 4.0, ((0.0, 1.0), (2, 0b10), (2.0, 0b11)), 4.0)
+        assert F.entries == ((0, 1), (2, 0b10), (2, 0b11))
+        assert (F.m, F.denominator, F.t_end_numer) == (2, 4, 4)
+        assert type(F.m) is type(F.denominator) is type(F.t_end_numer) is int
+
     def test_rejects_coface_before_face(self):
         with pytest.raises(ValueError):
             Filtration(2, 4, ((1, 0b11), (2, 0b01), (2, 0b10)), 4)
@@ -187,10 +193,16 @@ class TestRayFiltration:
             (3, 4, ((1, 0b001), (1, 0b010), (2, 0b111)), 4, "before one of its facets"),
             (MAX_ROWS + 1, 4, ((1, 0b01),), 4, "bitmask capacity"),
             (2, 4, ((1, 0b100),), 4, r"face 100 outside vertex universe \[1\.\.2\]"),
+            (2, 4, ((1.5, 0b01),), 4, r"value 1\.5 is not a whole number"),
+            (2, 4, ((1, 1.9),), 4, r"value 1\.9 is not a whole number"),
+            (2, 2.5, ((1, 0b01),), 2, r"value 2\.5 is not a whole number"),
+            (2, 4, ((1, 0b01),), 2.5, r"value 2\.5 is not a whole number"),
+            (2.5, 4, ((1, 0b01),), 4, r"value 2\.5 is not a whole number"),
         ],
         ids=["denominator-0", "t_end-past-denominator", "unsorted-grades", "grade-past-t_end",
              "negative-grade", "empty-face", "repeated-face", "facet-later-at-same-grade",
-             "missing-facet", "65-rows", "face-outside-universe"],
+             "missing-facet", "65-rows", "face-outside-universe", "fractional-grade",
+             "fractional-mask", "fractional-denominator", "fractional-t_end", "fractional-m"],
     )
     def test_rejects_bad_filtration(self, m, denominator, entries, t_end, match):
         with pytest.raises(ValueError, match=match):

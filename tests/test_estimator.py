@@ -365,10 +365,39 @@ def kind_table(m: int, n: int, kind: str, seed: int) -> np.ndarray:
     return random_order_table(rng, m, n, kind == "tied").ord
 
 
+def reference_class_bounds(gaps, faces, k, floor, apexes) -> np.ndarray:
+    """`_class_bounds` from its docstring, column by column, masked: -1
+    where the column's bound is at most floor."""
+    m, lo, hi = faces.m, faces.start[k + 1], faces.start[k + 2]
+    apparent, young, _, _ = _apparent(gaps, faces)
+    verts = face_list(m, faces.max_size)
+    index = {vs: i for i, vs in enumerate(verts)}
+    out = []
+    for j in range(gaps.shape[1]):
+        g = gaps[:, j].astype(np.int64)
+        order = sorted(range(lo, hi), key=lambda f: -g[f])  # stable: ties to the lower face
+        bound = np.full(len(order), np.iinfo(np.int64).max)
+        for v in apexes[:, j]:
+            cone = [g[index[tuple(sorted(set(verts[f]) | {v}))]] for f in order]
+            bound = np.minimum(bound, g[order] - np.minimum.accumulate(cone))
+        best = -1
+        for f, b in zip(order, bound.tolist()):
+            if b > floor:
+                if apparent[f - m, j]:  # an apparent destroyer creates no bar
+                    b = 0
+                for tau in faces.cofacet_table[f, : m - k - 1].tolist():
+                    if apparent[tau - m, j] and faces.facet_table[tau - m, young[tau - m, j]] == f:
+                        b = g[f] - g[tau]  # an apparent creator's own length
+            best = max(best, b)
+        out.append(best if best > floor else -1)
+    return np.array(out)
+
+
 class TestConeBound:
     """The certificate on its own: every column's dimension-k length is at
     most its reach, with the faces that beat the floor classified cell by
-    cell, or the floor, for any apex set."""
+    cell, or the floor, for any apex set; and reach, where it beats the
+    floor, is exactly the bound its docstring defines."""
 
     @given(st.integers(3, 8), st.integers(1, 70), st.sampled_from(TABLE_KINDS),
            st.integers(0, 2**32 - 1), st.data())
@@ -392,6 +421,27 @@ class TestConeBound:
                 reach = estimator._class_bounds(gaps, faces, k, floor, apexes)
                 assert reach.shape == (len(cols),)
                 assert np.all(want[cols, k] <= np.maximum(reach, floor))
+
+    @given(st.integers(3, 7), st.integers(1, 40), st.sampled_from(TABLE_KINDS),
+           st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans())
+    @example(m=6, n=40, kind="tied", seed=3, d_up=3, oldest=True)
+    @settings(max_examples=60, deadline=None)
+    def test_reach_matches_reference(self, m, n, kind, seed, d_up, oldest):
+        ranks = kind_table(m, n, kind, seed).astype(np.int16)
+        max_size = min(d_up + 2, m)
+        faces = subset_tables(m, max_size)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for cols, gaps in subset_gaps(ranks, ranks, max_size):
+            if oldest:  # the screen's apexes
+                apexes = np.argsort(~gaps[:m].T, axis=1)[:, : estimator.APEXES].T
+            else:
+                apexes = np.argsort(rng.random((m, len(cols))), axis=0)[: rng.integers(1, m + 1)]
+            for k in range(1, max_size - 1):
+                top = int(gaps[faces.start[k + 1] : faces.start[k + 2]].max())
+                for floor in sorted({0, 1, 3, top // 2}):
+                    want = reference_class_bounds(gaps, faces, k, floor, apexes)
+                    reach = estimator._class_bounds(gaps, faces, k, floor, apexes)
+                    assert np.array_equal(np.where(reach > floor, reach, -1), want), (k, floor)
 
 
 class TestScreen:

@@ -219,10 +219,10 @@ class TestMaxLengths:
 class TestBettiAgainstElimination:
     def assert_equivalent(self, F, d_up):
         D = persistence_intervals(F, d_up=d_up)
+        # every grid grade a face enters at, and the midpoints past them
         for g in sorted({g for g, _ in F.entries} | {0, F.t_end_numer}):
-            oracle = betti_numbers_by_elimination(F, g, d_up)
-            for k in range(d_up + 1):
-                assert D.betti(g)[k] == oracle[k], (g, k)
+            for grade in (g / F.denominator, (g + 0.5) / F.denominator):
+                assert D.betti(grade) == betti_numbers_by_elimination(F, grade, d_up), grade
 
     def test_fixture_rays(self, example_matrix):
         T = order_table(example_matrix)
@@ -240,6 +240,13 @@ class TestBettiAgainstElimination:
             (2, 0b111),
         )
         self.assert_equivalent(Filtration(3, 2, entries, 2), d_up=2)
+
+    def test_off_grid_grade_reads_grid_point_below(self):
+        # 0.4 lies between the grid grades 1/4 and 2/4: one vertex is in
+        F = Filtration(2, 4, ((0, 0b01), (2, 0b10)), 4)
+        assert len(F.complex_at(0.4).faces) == 1
+        assert persistence_intervals(F, d_up=0).betti(0.4) == [1]
+        self.assert_equivalent(F, d_up=0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
