@@ -68,10 +68,19 @@ def _nonneg_int(text: str) -> int:
 
 
 def _load_input(path_str: str) -> tuple[DataMatrix, str]:
-    """Read a CSV input; returns the matrix and a sha256 content digest."""
-    data = Path(path_str).read_bytes()
-    digest = "sha256:" + hashlib.sha256(data).hexdigest()
-    return load_matrix(data), digest
+    """Read a CSV input; returns the matrix and a sha256 content digest.
+    The file is read once, a line at a time, and each line is hashed as
+    the parser takes it, so no copy of the whole file is held."""
+    digest = hashlib.sha256()
+    with open(path_str, "rb") as fh:
+        matrix = load_matrix(_hashed(fh, digest))
+    return matrix, "sha256:" + digest.hexdigest()
+
+
+def _hashed(lines, digest):
+    for line in lines:
+        digest.update(line)
+        yield line
 
 
 def _report(command: str, params: dict, input_digest, seed, result, warnings) -> dict:

@@ -9,13 +9,15 @@ exact ties by column index instead of rejecting them).
 from __future__ import annotations
 
 import errno
+import io
+import math
 import os
 from dataclasses import dataclass
-from typing import BinaryIO, TextIO, Union
+from typing import BinaryIO, Iterable, TextIO, Union
 
 import numpy as np
 
-Source = Union[str, bytes, os.PathLike, TextIO, BinaryIO]
+Source = Union[str, bytes, os.PathLike, TextIO, BinaryIO, Iterable[str], Iterable[bytes]]
 
 
 class IngestError(ValueError):
@@ -26,11 +28,14 @@ class NonNumericFieldError(IngestError):
     def __init__(self, row: int, col: int, text: str):
         self.row, self.col, self.text = row, col, text
         hint = ""
-        if "\t" in text or ";" in text:
+        if not text:
+            hint = " (a leading, trailing or doubled comma)"
+        elif "\t" in text or ";" in text:
             hint = " (fields are comma-separated)"
         elif row == 1:
             hint = " (load_matrix(skip_header=True) skips a header line)"
-        super().__init__(f"non-numeric field {text!r} at row {row}, column {col}{hint}")
+        what = f"non-numeric field {text!r}" if text else "empty field"
+        super().__init__(f"{what} at row {row}, column {col}{hint}")
 
 
 class RaggedRowsError(IngestError):
@@ -50,9 +55,15 @@ class DuplicateInRowError(IngestError):
 
 
 class NonFiniteError(IngestError):
-    def __init__(self, row: int, col: int, value: float):
-        self.row, self.col, self.value = row, col, value
-        super().__init__(f"non-finite value {value!r} at row {row}, column {col}")
+    """`value` is the float read.  A field parsed from text keeps its token
+    as written, `text`, and the message names it, saying when a number
+    overflowed."""
+
+    def __init__(self, row: int, col: int, value: float, text: str | None = None):
+        self.row, self.col, self.value, self.text = row, col, value, text
+        shown = repr(value) if text is None else text
+        hint = " (out of the float64 range)" if "inf" not in shown.lower() and math.isinf(value) else ""
+        super().__init__(f"non-finite value {shown} at row {row}, column {col}{hint}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,33 +150,53 @@ class OrderTable:
         return sort_rows(self.ord)[0] + 1
 
 
-def _read_text(source: Source) -> str:
-    """The text of source, less one leading byte-order mark: spreadsheet
-    exports start UTF-8 files with one, and a text-mode file keeps it."""
+def _physical_lines(source: Source):
+    """Yield source a physical line at a time: bytes of a path, a bytes
+    object or a binary file, str of a text-mode file.  CSV text given as
+    a str, already in memory, comes whole."""
     if isinstance(source, str) and not os.path.exists(source):
-        text = source.removeprefix("\ufeff")
         # A str naming no file is CSV text if it looks like one, else a
         # missing path (or a number).
-        if "\n" in text or "," in text or not text.strip():
-            return text
-        try:
-            float(text)
-        except ValueError:
-            raise FileNotFoundError(errno.ENOENT, "no such file", source) from None
-        return text
-    if isinstance(source, (str, os.PathLike)):
+        text = source.removeprefix("\ufeff")
+        if not ("\n" in text or "," in text or not text.strip()):
+            try:
+                float(text)
+            except ValueError:
+                raise FileNotFoundError(errno.ENOENT, "no such file", source) from None
+        yield source
+    elif isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            source = fh.read()
-    elif not isinstance(source, bytes):
-        source = source.read()
-    if isinstance(source, bytes):
-        try:
-            source = source.decode()
-        except UnicodeDecodeError as exc:
-            line = source.count(b"\n", 0, exc.start) + 1
-            raise IngestError(f"input is not UTF-8: byte {source[exc.start]:#04x} at offset "
-                              f"{exc.start} (line {line})") from exc
-    return source.removeprefix("\ufeff")
+            yield from fh
+    elif isinstance(source, bytes):
+        yield from io.BytesIO(source)
+    else:
+        yield from source
+
+
+def _text_lines(source: Source):
+    """Yield the lines of source's text, as str.splitlines() would split
+    the whole text, less one leading byte-order mark: spreadsheet exports
+    start UTF-8 files with one, and a text-mode file keeps it.  Bytes are
+    decoded a physical line at a time; a "\n" never falls inside a UTF-8
+    character, so an undecodable byte is found at the offset and line
+    where decoding the whole input would find it."""
+    number = offset = 0  # offset counts the bytes before this line
+    for line in _physical_lines(source):
+        number += 1
+        if isinstance(line, bytes):
+            try:
+                line, offset = line.decode(), offset + len(line)
+            except UnicodeDecodeError as exc:
+                raise IngestError(f"input is not UTF-8: byte {line[exc.start]:#04x} at offset "
+                                  f"{offset + exc.start} (line {number})") from exc
+        if number == 1:
+            line = line.removeprefix("\ufeff")
+        # each piece ends where splitlines splits the whole text, so the
+        # pieces split into exactly its lines; a piece is dropped before
+        # its lines are parsed
+        lines = line.splitlines()
+        del line
+        yield from lines
 
 
 def load_matrix(
@@ -181,37 +212,66 @@ def load_matrix(
     an error unless skip_header strips it.  A str naming an existing file
     is read from that file; any other str is CSV text, except that one
     with no comma or newline that is no number raises FileNotFoundError.
-    One leading byte-order mark is dropped, whatever the source.
+    Any other source is read as a file object, or any iterable of lines
+    (str or bytes).  One leading byte-order mark is dropped, whatever the
+    source.
+
+    Files and bytes are read and parsed a line at a time: beside the rows
+    parsed so far the parse holds about one row's fields, never a copy of
+    the input.  A byte that is not UTF-8, anywhere in the input, is
+    reported before any bad field; otherwise the first bad field in
+    reading order is.
     """
     if tie_policy not in ("reject", "break-by-column-index"):
         raise IngestError(f"unknown tie_policy {tie_policy!r}")
-    # the text lives until split, the lines until parsed: the tie scan comes after both
-    lines = [ln for ln in _read_text(source).splitlines() if ln.strip()]
-    if skip_header:
-        del lines[:1]
-    if not lines:
+    lines = _text_lines(source)
+    try:
+        rows = _parse_rows(lines, skip_header)
+    except IngestError:
+        for _ in lines:  # an undecodable byte further on is reported first
+            pass
+        raise
+    finally:
+        lines.close()
+    if not rows:
         raise IngestError("empty input")
-    width = lines[0].count(",") + 1
-    values = np.empty((len(lines), width), dtype=np.float64)
-    for i, ln in enumerate(lines, start=1):
-        fields = ln.split(",")
-        if len(fields) != width:
-            _check_finite(values[: i - 1])  # an earlier non-finite value is the first error
-            raise RaggedRowsError(i, width, len(fields))
-        try:
-            values[i - 1] = list(map(float, fields))
-        except ValueError:
-            _check_finite(values[: i - 1])
-            _rescan(i, fields)
-    del lines
+    values = np.stack(rows)
+    del rows
 
     warnings: tuple[str, ...] = ()
     if tie_policy == "break-by-column-index":
         tied_rows = np.flatnonzero(sort_rows(values)[1].any(axis=1)) + 1
         if tied_rows.size:
-            rows = ",".join(map(str, tied_rows))
-            warnings = (f"exact ties in row(s) {rows} ordered by ascending column index",)
+            listed = ",".join(map(str, tied_rows))
+            warnings = (f"exact ties in row(s) {listed} ordered by ascending column index",)
     return DataMatrix(values, warnings=warnings, check_ties=tie_policy == "reject")
+
+
+def _parse_rows(lines, skip_header: bool) -> list[np.ndarray]:
+    """One float64 array per non-blank line, each checked finite as it is
+    parsed; the width is the first row's."""
+    rows: list[np.ndarray] = []
+    width = 0
+    for ln in lines:
+        if not ln.strip():
+            continue
+        if skip_header:
+            skip_header = False
+            continue
+        fields = ln.split(",")
+        width = width or len(fields)
+        i = len(rows) + 1
+        if len(fields) != width:
+            raise RaggedRowsError(i, width, len(fields))
+        try:
+            row = np.fromiter(map(float, fields), np.float64, count=width)
+        except ValueError:
+            row = None
+        if row is None or not np.isfinite(row).all():
+            _rescan(i, fields)
+        rows.append(row)
+        del fields  # before the next line is split
+    return rows
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -223,15 +283,15 @@ def _check_finite(values: np.ndarray) -> None:
 
 
 def _rescan(row: int, fields: list[str]) -> None:
-    """Raise the error for the first bad token of a line that failed to
-    parse as a whole."""
+    """Raise the error for the first token of a line that is no finite
+    float."""
     for a, tok in enumerate(fields, start=1):
         try:
             x = float(tok)
         except ValueError:
             raise NonNumericFieldError(row, a, tok.strip()) from None
-        if not np.isfinite(x):
-            raise NonFiniteError(row, a, x)
+        if not math.isfinite(x):
+            raise NonFiniteError(row, a, x, tok.strip())
 
 
 def sort_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

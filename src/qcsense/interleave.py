@@ -9,7 +9,8 @@ Both complexes are step functions of t that only change at multiples of
 1/n_A resp. 1/n_B, so candidate shifts live on the merged grid of
 multiples of 1/lcm(n_A, n_B).  Everything is computed in integers over
 that common denominator: ranks are scaled by alpha = lcm/n_src and
-beta = lcm/n_dst.
+beta = lcm/n_dst, in int16 while lcm < 2^15, where every difference of
+scaled ranks fits, and in int32 or int64 above.
 
 Rather than enumerating the full (lcm+1)^m grid, the inclusion is checked
 at its generators.  For a subset sigma and witness column a, sigma enters
@@ -58,13 +59,13 @@ from .ingest import DataMatrix, OrderTable, order_table
 
 # The scan runs the C(m, s) maximal faces, each over its two fronts, and
 # fronts grow with the face.  n_a=2000 against n_b=1000, drawn as in the
-# interleave-m4 benchmark (d=2), takes 1-5 ms at every skeleton for m=4.
-# For m=8 it takes 1-6 ms at skeleton 0 and at the full skeleton, but
-# 120-170 ms at skeletons 3 and 4, whose 70 and 56 faces each take fronts
-# of 200-280 of the 2000 columns.  Anti-correlated rows put every column
-# on the table's front: m=8 then takes at most 0.06 s at skeletons 0-3
-# and 7, and 0.3-0.6 s at skeletons 4-6, the cost the cap rests on
-# (2-core machine).
+# interleave-m4 benchmark (d=2), takes 0.3-4 ms at every skeleton for m=4.
+# For m=8 it takes under 7 ms at skeletons 0, 1 and 7, 30-85 ms at 2, 5
+# and 6, and 110-130 ms at skeletons 3 and 4, whose 70 and 56 faces take
+# fronts of 208 and 273 of the 2000 columns at the median.  Anti-correlated
+# rows put every column on the table's front: m=8 then takes at most
+# 0.08 s at skeletons 0-3 and 7, and 0.2-0.4 s at skeletons 4-6, the cost
+# the cap rests on (int16 scan, median of 3 runs on a 2-core machine).
 MAX_ROWS = 8
 
 
@@ -144,8 +145,9 @@ def interleaving_distance(A, B, skeleton: int | None = None) -> InterleaveResult
     faces = subset_tables(m, min(skeleton + 1, m))
     n_a, n_b = TA.n, TB.n
     lcm = math.lcm(n_a, n_b)
-    # scaled ranks lie in [1, lcm], their differences in (-lcm, lcm)
-    dtype = np.int32 if lcm < 2**30 else np.int64
+    # scaled ranks lie in [1, lcm], their differences in (-lcm, lcm); int16
+    # halves the scan's scratch and traffic
+    dtype = np.int16 if lcm < 2**15 else np.int32 if lcm < 2**30 else np.int64
     xa, xb = (T.ord.astype(dtype) * (lcm // T.n) for T in (TA, TB))
     maximal = faces.vertex_table[faces.start[faces.max_size]:]
     fronts = ((xa[face][:, ca], xb[face][:, cb])

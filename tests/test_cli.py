@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 from qcsense import (DataMatrix, OrderTable, RegularPairSpec, compute_Lk, load_matrix,
                      order_table, sample_pair)
-from qcsense.cli import _emit, build_parser, main
+from qcsense.cli import _emit, _load_input, build_parser, main
 from qcsense.ingest import rank_rows
 
 from conftest import EXAMPLE_CSV
@@ -417,6 +419,23 @@ class TestParser:
         ]
         assert together == apart
         assert build_parser() is build_parser()
+
+
+def test_input_is_parsed_in_less_than_twice_its_size(tmp_path):
+    # the file is read a line at a time and hashed as it is parsed: no
+    # copy of the whole file (bytes, text or line list) sits beside the
+    # matrix and one row's fields
+    path = tmp_path / "wide.csv"
+    path.write_text(DataMatrix(np.random.default_rng(0).random((10, 20_000))).to_csv())
+    tracemalloc.start()
+    try:
+        matrix, digest = _load_input(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.values.shape == (10, 20_000)
+    assert digest == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < 2 * path.stat().st_size
 
 
 class TestInstalledEntryPoint:

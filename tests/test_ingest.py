@@ -68,14 +68,32 @@ class TestLoadMatrix:
             reports.append(json.loads(capsys.readouterr().out)["result"])
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\x0b", "\x0c", "\u2028", "\n\r\n\x1c"],
+                             ids=["crlf", "cr", "vt", "ff", "u2028", "mixed"])
+    def test_line_breaks_of_every_source(self, tmp_path, newline):
+        # rows end wherever str.splitlines() splits, whatever the source
+        plain = load_matrix(EXAMPLE_CSV)
+        text = EXAMPLE_CSV.replace("\n", newline)
+        p = tmp_path / "breaks.csv"
+        for bom in ("", "\ufeff"):
+            data = (bom + text).encode()
+            p.write_bytes(data)
+            with open(p, "rb") as binary_file, open(p, encoding="utf-8") as text_file:
+                for source in (data, p, str(p), binary_file, text_file, bom + text):
+                    assert load_matrix(source).values.tobytes() == plain.values.tobytes()
+
     def test_undecodable_bytes_name_their_line(self, tmp_path):
-        data = b"1,2\n3,\xe9\n"
-        p = tmp_path / "latin1.csv"
-        p.write_bytes(data)
-        with open(p, "rb") as fh:
-            for source in (data, p, fh):
-                with pytest.raises(IngestError, match=r"byte 0xe9 at offset 6 \(line 2\)"):
-                    load_matrix(source)
+        # offsets count bytes of the whole input, blank and multi-byte lines
+        # included, and the byte is reported before an earlier bad field
+        for data, where in ((b"1,2\n3,\xe9\n", "offset 6 \\(line 2\\)"),
+                            (b"1,2\n\n3,\xe9\n", "offset 7 \\(line 3\\)"),
+                            (b"\xc3\xa9,x\n\n3,\xe9", "offset 8 \\(line 3\\)")):
+            p = tmp_path / "latin1.csv"
+            p.write_bytes(data)
+            with open(p, "rb") as fh:
+                for source in (data, p, fh):
+                    with pytest.raises(IngestError, match=f"byte 0xe9 at {where}"):
+                        load_matrix(source)
 
     def test_skip_header(self):
         M = load_matrix("c1,c2,c3\n1.0,2.0,3.0\n", skip_header=True)
@@ -98,6 +116,15 @@ class TestLoadMatrix:
             load_matrix(text)
         assert str(err.value).endswith(f"at row 1, column 1 {hint}")
 
+    @pytest.mark.parametrize("text, col", [("1,2,\n4,5,6\n", 3), ("1,,3\n", 2), (" ,2\n", 1)],
+                             ids=["trailing", "doubled", "leading"])
+    def test_empty_field_is_named(self, text, col):
+        with pytest.raises(NonNumericFieldError) as err:
+            load_matrix(text)
+        assert (err.value.row, err.value.col, err.value.text) == (1, col, "")
+        assert str(err.value) == (f"empty field at row 1, column {col}"
+                                  " (a leading, trailing or doubled comma)")
+
     def test_ragged_rows(self):
         with pytest.raises(RaggedRowsError):
             load_matrix("1.0,2.0\n3.0\n")
@@ -107,6 +134,17 @@ class TestLoadMatrix:
             load_matrix("1.0,inf\n")
         with pytest.raises(NonFiniteError):
             load_matrix("nan,1.0\n")
+
+    def test_overflow_names_its_token(self):
+        with pytest.raises(NonFiniteError) as err:
+            load_matrix("1,2\n3,-1e400\n")
+        assert (err.value.value, err.value.text) == (-np.inf, "-1e400")
+        assert str(err.value) == ("non-finite value -1e400 at row 2, column 2"
+                                  " (out of the float64 range)")
+        # an infinity or NaN written as such is named as written
+        for tok in ("inf", "-Infinity", "NaN"):
+            with pytest.raises(NonFiniteError, match=f"^non-finite value {tok} at row 1, column 1$"):
+                load_matrix(f" {tok} ,2\n")
 
     def test_late_bad_field_names_its_row_and_column(self):
         lines = [",".join(repr(i * 10.0 + a) for a in range(6)) for i in range(40)]

@@ -215,6 +215,16 @@ class TestAgainstBinarySearch:
         got = interleaving_distance(TA, TB, skeleton=skeleton).to_json_obj()
         assert got == binary_search_distance(TA, TB, skeleton=skeleton).to_json_obj()
 
+    @pytest.mark.parametrize("n_a, n_b", [(32_767, 1), (32_767, 7), (32_768, 1), (32_768, 8)])
+    def test_agrees_at_the_int16_edge(self, n_a, n_b):
+        # lcm 32,767 scans in int16, lcm 32,768 in int32; against a single
+        # column the differences reach -(lcm - 1) one way and lcm - 1 the other
+        rng = np.random.Generator(np.random.PCG64(n_a + n_b))
+        TA = random_order_table(rng, 2, n_a, False)
+        TB = random_order_table(rng, 2, n_b, False)
+        got = interleaving_distance(TA, TB).to_json_obj()
+        assert got == binary_search_distance(TA, TB).to_json_obj()
+
     def test_coprime_grids_past_int32(self):
         # one row: the least rank 1 gives numerator |lcm/n_a - lcm/n_b| = 1,
         # with scaled ranks up to lcm = 2,499,950,000 > 2^31
